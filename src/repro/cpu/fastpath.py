@@ -37,10 +37,10 @@ across every registered mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.cache.cache import DIRTY, PREFETCHED
-from repro.cpu import codecache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.hierarchy import MemoryHierarchy
@@ -51,15 +51,20 @@ EVENT_DRAINS = 1
 ABORT_QUEUED_PREFETCH = 2
 ABORT_MISS = 3
 
-#: Bump whenever the emitters change *semantics* without changing the
-#: emitted source text — what a binding name refers to, what the exec
-#: namespace carries, where the caller splices the block.  The constant is
-#: folded into the disk code-cache key (:mod:`repro.cpu.codecache`), so an
-#: emitter edit can never replay a stale generated code object written by
-#: an older emitter under the same source digest.
-EMITTER_VERSION = 2
-
 ReplayFn = Callable[..., Optional[int]]
+
+#: Generated source text -> its compiled code object.  The emitters
+#: produce a handful of distinct sources per machine shape, and a
+#: process simulating many cells of one shape compiles each only once.
+_COMPILED: Dict[str, CodeType] = {}
+
+
+def compile_generated(source: str, filename: str) -> CodeType:
+    """Compile emitted ``source``, memoised per process by its text."""
+    code = _COMPILED.get(source)
+    if code is None:
+        code = _COMPILED[source] = compile(source, filename, "exec")
+    return code
 
 
 # -- machine-readable emitter metadata -----------------------------------------
@@ -457,9 +462,7 @@ class TraceSpeculator:
             """Generate + compile the linear hit sequence for one kind."""
             source, namespace = emit_replay_source(hierarchy, kind)
             namespace["counts_"] = self.counts
-            code = codecache.load_or_compile(
-                source, "<repro.cpu.fastpath>", version=EMITTER_VERSION
-            )
+            code = compile_generated(source, "<repro.cpu.fastpath>")
             exec(code, namespace)  # noqa: S102 - closed namespace, own source
             return namespace["replay"]
 

@@ -31,8 +31,11 @@ from typing import Dict, Optional, Sequence
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import CoreConfig
-from repro.cpu import codecache
-from repro.cpu.fastpath import EMITTER_VERSION, TraceSpeculator, emit_hit_inline
+from repro.cpu.fastpath import (
+    TraceSpeculator,
+    compile_generated,
+    emit_hit_inline,
+)
 from repro.hotpath import hotpath
 from repro.isa.instr import FU_LATENCY, FU_POOL, Op
 from repro.kernel.module import Component
@@ -422,8 +425,8 @@ class OoOCore(Component):
         Emission (:meth:`_emit_fast_loop`) and compilation are split so the
         SIM8xx guard-completeness verifier can obtain the exact source the
         fast path will run without executing anything.  Code objects are
-        cached by source + emitter version (the only variation is baked
-        constants), so repeated runs of one machine shape recompile nothing.
+        memoised by source text (the only variation is baked constants),
+        so repeated runs of one machine shape recompile nothing.
         """
         ckpt_every = checkpoint.every if checkpoint is not None else 0
         ckpt_cut = (self._checkpoint_cut(checkpoint, speculator)
@@ -431,9 +434,7 @@ class OoOCore(Component):
         source, bind = self._emit_fast_loop(
             speculator.counts, sampler,
             ckpt_cut=ckpt_cut, ckpt_every=ckpt_every, resume=resume)
-        code = codecache.load_or_compile(
-            source, "<repro.cpu.ooo.fastloop>", version=EMITTER_VERSION
-        )
+        code = compile_generated(source, "<repro.cpu.ooo.fastloop>")
         namespace = {f"g_{name}": obj for name, obj in bind.items()}
         exec(code, namespace)  # noqa: S102 - closed namespace, own source
         return namespace["run_loop"]
@@ -460,7 +461,7 @@ class OoOCore(Component):
         Checkpointing follows the same discipline as sampling: the cut
         check, the resume preamble and their bindings are emitted only when
         a checkpointer is armed, so the disabled path's source is
-        byte-identical to today's — same codecache entry, zero cost.
+        byte-identical to today's — same compiled code, zero cost.
         ``resume`` is the saved loop-state tuple; its record index is known
         at emit time, so the resumed thresholds are baked as literals.
 

@@ -21,14 +21,13 @@ File format (one checkpoint per file)::
     | pickled machine state (payload_bytes bytes)                |
     +------------------------------------------------------------+
 
-Writes follow the result store's discipline: same-directory temp file,
-flush, ``fsync``, ``os.replace`` — a crash mid-write leaves a stray
-``.tmp`` (swept by ``fsck --prune``), never a torn ``.ckpt``.  Reads
-verify everything the header declares; a checkpoint failing any check is
-skipped in favour of the next-older one, and a spec with no sound
-checkpoint simply starts from scratch.  Checkpoints are an attempt-local
-cache, not an artifact: the executor discards a spec's directory as soon
-as its result is durably stored.
+Writes go through :func:`repro.durable.atomic_write` — a crash
+mid-write leaves a stray ``.tmp`` (swept by ``fsck --prune``), never a
+torn ``.ckpt``.  Reads verify everything the header declares; a
+checkpoint failing any check is skipped in favour of the next-older one,
+and a spec with no sound checkpoint simply starts from scratch.
+Checkpoints are an attempt-local cache, not an artifact: the executor
+discards a spec's directory as soon as its result is durably stored.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import durable
 from repro.exec.faults import (
     FaultPlan,
     InjectedCrash,
@@ -89,23 +89,8 @@ def write_checkpoint(
     header_line = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"
-    directory.mkdir(parents=True, exist_ok=True)
     final = checkpoint_path(directory, index)
-    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(header_line)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-    except OSError:
-        try:
-            tmp.unlink()
-        # simlint: allow[SIM601] failed-write cleanup is best-effort
-        except OSError:
-            pass
-        raise
+    durable.atomic_write(final, header_line + payload)
     return final
 
 
@@ -296,19 +281,6 @@ class CheckpointAudit:
         return not (self.defective or self.stale_temps)
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal 0 probe)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 def audit_checkpoints(
     ckpt_root: Path, prune: bool = False,
 ) -> CheckpointAudit:
@@ -356,9 +328,8 @@ def audit_checkpoints(
                 audit.superseded.append(rel)
                 if prune:
                     remove(path)
-        for stray in sorted(spec_dir.glob(".*.tmp")):
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part.isdigit() and _pid_alive(int(pid_part)):
+        for stray in sorted(spec_dir.glob(durable.TEMP_GLOB)):
+            if not durable.is_stale_temp(stray):
                 continue  # a live writer is about to rename it
             audit.stale_temps.append(f"{spec_hash}/{stray.name}")
             if prune:

@@ -435,22 +435,29 @@ def maybe_corrupt_checkpoint(
     return True
 
 
-def maybe_disk_full(
+def disk_full_due(
     plan: Optional[FaultPlan], key: str, attempt: int,
-) -> None:
-    """Raise ``OSError(ENOSPC)`` when the disk-full schedule says so.
+) -> bool:
+    """Whether the disk-full schedule fails this write.
 
     Consulted by fleet-side writers (the result store's ``put`` and the
-    fleet WAL's resolution appends) with ``attempt`` = the spec's lease
-    count; only first-lease writes consult the schedule, so the write
+    fleet WAL's ``done`` append) with ``attempt`` = the spec's lease
+    count, and handed to :mod:`repro.durable` as its ``disk_full``
+    argument; only first-lease writes consult the schedule, so the write
     after a release-and-reclaim always goes through and a chaos fleet
     provably converges — the same one-shot shape as ``kill-worker``.
     """
-    if plan is None or attempt != 1:
-        return
-    if not plan.decide("disk-full", key, 1):
-        return
-    raise OSError(errno.ENOSPC, f"injected disk-full (chaos) writing {key}")
+    return plan is not None and attempt == 1 and plan.decide(
+        "disk-full", key, 1)
+
+
+def maybe_disk_full(
+    plan: Optional[FaultPlan], key: str, attempt: int,
+) -> None:
+    """Raise ``OSError(ENOSPC)`` when :func:`disk_full_due` says so."""
+    if disk_full_due(plan, key, attempt):
+        raise OSError(errno.ENOSPC,
+                      f"injected disk-full (chaos) writing {key}")
 
 
 def maybe_corrupt_journal_line(

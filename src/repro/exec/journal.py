@@ -18,11 +18,10 @@ content-addressed payloads either way.
 
 File discipline
 ---------------
-Same rules as the benchmark ledger (:mod:`repro.obs.ledger`): one JSON
-object per line, append-only, each append a single ``write`` +
-``flush`` + ``fsync`` so a crash corrupts at most the final line.
-Reads are corruption-tolerant: a line that fails to parse is counted
-and skipped, never fatal — the spec it described simply re-runs.
+An append-only log of :mod:`repro.durable`: one fsync'd JSON object per
+line, replayed corruption-tolerantly — a line that fails to parse is
+counted and skipped, never fatal, and the spec it described simply
+re-runs.
 
 Sweep identity
 --------------
@@ -50,12 +49,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import durable
 from repro.exec.faults import FaultPlan, maybe_corrupt_journal_line
 from repro.exec.policy import FailedRun, RetryPolicy
 
@@ -136,25 +135,12 @@ def read_state(path: Union[str, Path]) -> Optional[JournalState]:
     reads as done.
     """
     path = Path(path)
-    try:
-        text = path.read_text("utf-8")
-    except OSError:
+    log = durable.replay(path, JOURNAL_VERSION)
+    if not log.found:
         return None
-    state = JournalState(path=path)
-    for line in text.splitlines():
-        state.lines += 1
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("journal record is not an object")
-        except ValueError:
-            state.corrupt_lines += 1
-            continue
-        if record.get("v", 0) > JOURNAL_VERSION:
-            state.corrupt_lines += 1
-            continue
+    state = JournalState(path=path, lines=log.lines,
+                         corrupt_lines=log.corrupt)
+    for record in log.records:
         kind = record.get("kind")
         spec = record.get("spec", "")
         if not state.sweep_id and record.get("sweep"):
@@ -206,17 +192,11 @@ class SweepJournal:
             "sweep": self.sweep_id,
         }
         record.update(fields)
-        line = json.dumps(record, sort_keys=True)
-        assert "\n" not in line  # one record is always exactly one line
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        length = durable.append_record(self.path, record)
         self._seq += 1
         key = f"{kind}:{fields.get('spec', '')}"
         maybe_corrupt_journal_line(self.plan, self.path, key, self._seq,
-                                   len(line))
+                                   length)
 
     # -- lifecycle shorthands --------------------------------------------------
 

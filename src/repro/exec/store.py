@@ -13,12 +13,11 @@ simply re-simulates and rewrites it.  Forgiving is not the same as
 silent: a file that *exists* but cannot be used is counted in
 :attr:`ResultStore.corrupt_reads` and reported with a one-line stderr
 warning, because cache rot (a flaky disk, a torn write from a killed
-run, schema drift) should be visible, not absorbed.  Writes are atomic and durable:
-the payload is written to a same-directory temp file, flushed and
-``fsync``'d, then ``os.replace``'d over the final name, so a worker
-killed mid-write can never leave a truncated entry under a real hash —
-only a stray ``*.tmp`` file, which reads ignore and
-:meth:`ResultStore.put` sweeps up on the next write.
+run, schema drift) should be visible, not absorbed.  Writes go
+through :func:`repro.durable.atomic_write`, so a worker killed mid-write
+can never leave a truncated entry under a real hash — only a stray
+``*.tmp`` file, which reads ignore and :meth:`ResultStore.put` sweeps
+up on the next write.
 
 Integrity: every v3 entry embeds a SHA-256 of its result payload,
 verified on :meth:`ResultStore.get` — bit rot that still parses as
@@ -53,8 +52,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro import durable
 from repro.core.simulation import RunResult
-from repro.exec.faults import active_plan, maybe_disk_full
+from repro.exec.faults import active_plan, disk_full_due
 from repro.exec.runspec import RunSpec
 
 #: Bump when the stored payload layout (or RunResult schema) changes;
@@ -72,7 +72,7 @@ COMPAT_VERSIONS = (2, STORE_VERSION)
 SHARD_WIDTH = 2
 
 #: Glob matching shard directories (two lowercase hex characters), used
-#: so sibling subdirectories (``journal``, ``serve``, ``codegen``) never
+#: so sibling subdirectories (``journal``, ``serve``, ``ckpt``) never
 #: read as shards.
 _SHARD_GLOB = "[0-9a-f]" * SHARD_WIDTH
 
@@ -87,19 +87,6 @@ def result_checksum(result_payload: Dict[str, Any]) -> str:
     canonical = json.dumps(result_payload, sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal 0 probe)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True  # exists but not ours
-    return True
 
 
 def _verify_payload(payload: Any) -> Optional[str]:
@@ -312,7 +299,6 @@ class ResultStore:
         and a retry (on a disk with room) succeeds from scratch.
         """
         path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         result_payload = dataclasses.asdict(result)
         payload = {
             "version": STORE_VERSION,
@@ -321,53 +307,20 @@ class ResultStore:
             "checksum": result_checksum(result_payload),
         }
         text = json.dumps(payload, sort_keys=True, indent=1)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                if fault_attempt is not None:
-                    try:
-                        maybe_disk_full(active_plan(),
-                                        f"put:{spec.content_hash}",
-                                        fault_attempt)
-                    except OSError:
-                        # Tear the write the way a real ENOSPC would:
-                        # part of the payload lands, then the device
-                        # refuses the rest.
-                        handle.write(text[: len(text) // 2])
-                        handle.flush()
-                        raise
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            # Never leave a half-written temp behind on this code path;
-            # a SIGKILL can still strand one, which sweep_stale handles.
-            try:
-                os.unlink(tmp)
-            # simlint: allow[SIM601] best-effort cleanup while re-raising the real error below
-            except OSError:
-                pass
-            raise
+        disk_full = fault_attempt is not None and disk_full_due(
+            active_plan(), f"put:{spec.content_hash}", fault_attempt)
+        durable.atomic_write(path, text.encode("utf-8"), disk_full=disk_full)
         self._sweep_stale()
         return path
 
     def _sweep_stale(self) -> None:
         """Drop temp files stranded by processes that no longer exist.
 
-        Temp names embed the writer's pid; a temp whose writer is gone
-        (or that another live writer owns) is garbage from a killed run.
-        Live writers' files are left alone — they are about to be renamed.
+        A live writer's temp (this process's included) is left alone —
+        it is about to be renamed (see :func:`repro.durable.is_stale_temp`).
         """
         for stray in self._temp_paths():
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part == str(os.getpid()):
-                continue
-            try:
-                alive = pid_part.isdigit() and _pid_alive(int(pid_part))
-            except ValueError:
-                alive = False
-            if not alive:
+            if durable.is_stale_temp(stray):
                 try:
                     stray.unlink()
                 # simlint: allow[SIM601] losing a race to delete garbage is harmless
@@ -377,8 +330,9 @@ class ResultStore:
     def _temp_paths(self) -> List[Path]:
         """Writer temp files in both layouts (shard dirs and flat root)."""
         try:
-            return (sorted(self.root.glob(f"{_SHARD_GLOB}/.*.tmp"))
-                    + sorted(self.root.glob(".*.tmp")))
+            return (sorted(self.root.glob(
+                        f"{_SHARD_GLOB}/{durable.TEMP_GLOB}"))
+                    + sorted(self.root.glob(durable.TEMP_GLOB)))
         except OSError:
             return []
 
@@ -503,8 +457,7 @@ class ResultStore:
                         (path.name, f"prune failed: {exc}")
                     )
         for stray in self._temp_paths():
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part.isdigit() and _pid_alive(int(pid_part)):
+            if not durable.is_stale_temp(stray):
                 continue  # a live writer is about to rename it
             report.stale_temps.append(stray.name)
             if prune:

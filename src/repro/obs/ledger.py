@@ -12,34 +12,27 @@ between any two entries.
 
 File format
 -----------
-One JSON object per line (JSON Lines), append-only.  Appends take an
-advisory ``flock`` (where the platform provides one) and are a single
-``write`` + ``fsync`` of one line, so concurrent writers — parallel CI
-shards, a chaos loop resuming while a benchmark finishes — serialise
-cleanly instead of relying on the kernel's append atomicity, and a
-killed process corrupts at most its own last line.  Reads skip lines
-that fail to parse — a corrupt entry costs one record, never the
-ledger.
+One JSON object per line (JSON Lines), an append-only log of
+:mod:`repro.durable`: appends are flock'd and fsync'd, so concurrent
+writers — parallel CI shards, a chaos loop resuming while a benchmark
+finishes — serialise cleanly, and reads skip lines that fail to parse —
+a corrupt entry costs one record, never the ledger.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import platform
 import resource
 import sys
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: appends fall back to O_APPEND atomicity
-    fcntl = None  # type: ignore[assignment]
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+
+from repro import durable
 
 #: Bump when the record layout changes incompatibly; readers keep
 #: accepting older records (missing fields default) but tools may warn.
@@ -147,48 +140,22 @@ class Ledger:
     # -- writing --------------------------------------------------------------
 
     def append(self, record: LedgerRecord) -> LedgerRecord:
-        """Durably append one record as a single line.
-
-        The advisory lock is held only for the write+fsync of this one
-        line: concurrent appenders queue for milliseconds, and a writer
-        killed while holding it releases the lock with its file handle.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(dataclasses.asdict(record), sort_keys=True)
-        assert "\n" not in line  # one record is always exactly one line
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        """Durably append one record as a single line."""
+        durable.append_record(self.path, dataclasses.asdict(record))
         return record
 
     # -- reading --------------------------------------------------------------
 
     def scan(self) -> Tuple[List[LedgerRecord], List[str]]:
         """All readable records plus a note per skipped (corrupt) line."""
+        log = durable.replay(self.path)
         records: List[LedgerRecord] = []
-        problems: List[str] = []
-        try:
-            text = self.path.read_text("utf-8")
-        except OSError:
-            return records, problems
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
+        for payload in log.records:
             try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("record is not an object")
                 records.append(LedgerRecord.from_dict(payload))
-            except (ValueError, TypeError) as exc:
-                problems.append(f"{self.path}:{lineno}: skipped ({exc})")
-        return records, problems
+            except TypeError as exc:
+                log.problems.append(f"{self.path}: skipped ({exc})")
+        return records, log.problems
 
     def read(self) -> List[LedgerRecord]:
         return self.scan()[0]
@@ -253,6 +220,9 @@ class DiffRow:
     metric: str
     a: float
     b: float
+    #: A simulated metric compared between two runs of one spec: the
+    #: simulator is deterministic, so any difference is a regression.
+    exact: bool = False
 
     @property
     def delta(self) -> float:
@@ -266,6 +236,8 @@ class DiffRow:
 
     @property
     def regression(self) -> bool:
+        if self.exact:
+            return self.a != self.b
         if self.a == 0:
             return False
         rel = (self.b - self.a) / abs(self.a)
@@ -289,9 +261,11 @@ def diff_records(a: LedgerRecord, b: LedgerRecord) -> List[DiffRow]:
         rows.append(DiffRow("retries", float(a.retries), float(b.retries)))
     if a.failures or b.failures:
         rows.append(DiffRow("failures", float(a.failures), float(b.failures)))
+    same_spec = bool(a.spec_hash) and a.spec_hash == b.spec_hash
     for key in sorted(set(a.metrics) | set(b.metrics)):
         rows.append(DiffRow(
-            key, float(a.metrics.get(key, 0.0)), float(b.metrics.get(key, 0.0))
+            key, float(a.metrics.get(key, 0.0)), float(b.metrics.get(key, 0.0)),
+            exact=same_spec,
         ))
     return rows
 
@@ -300,11 +274,12 @@ def render_diff(a: LedgerRecord, b: LedgerRecord) -> str:
     """The regression report ``python -m repro.obs diff`` prints."""
     rows = diff_records(a, b)
     same_host = a.host.get("node") == b.host.get("node")
+    same_spec = bool(a.spec_hash) and a.spec_hash == b.spec_hash
     lines = [
         f"ledger diff: {a.label or '?'} ({a.timestamp}) -> "
         f"{b.label or '?'} ({b.timestamp})",
         f"  hosts: {'same' if same_host else 'DIFFERENT'}"
-        f"  spec: {'same' if a.spec_hash == b.spec_hash and a.spec_hash else 'differs/unknown'}",
+        f"  spec: {'same' if same_spec else 'differs/unknown'}",
         f"  {'metric':<28} {'before':>12} {'after':>12} {'delta':>12} {'%':>8}",
     ]
     regressions = 0
@@ -319,6 +294,8 @@ def render_diff(a: LedgerRecord, b: LedgerRecord) -> str:
         )
     lines.append(
         f"  {regressions} regression{'' if regressions == 1 else 's'} "
-        f"(threshold {REGRESSION_THRESHOLD:.0%} on wall/rate/RSS)"
+        f"(threshold {REGRESSION_THRESHOLD:.0%} on wall/rate/RSS"
+        + ("; any simulated-metric change under one spec hash)"
+           if same_spec else ")")
     )
     return "\n".join(lines)

@@ -17,9 +17,9 @@ system:
 * :mod:`repro.serve.client` — a blocking submitter and
   :class:`~repro.serve.client.ServeExecutor`, the drop-in executor
   behind ``python -m repro <exhibit> --serve SOCK``;
-* :mod:`repro.serve.protocol` / :mod:`repro.serve.wal` — the JSON-line
-  wire format (specs travel by hash-verified value) and the fsync'd,
-  corruption-tolerant log primitives everything above sits on.
+* :mod:`repro.serve.protocol` — the JSON-line wire format (specs
+  travel by hash-verified value); the fleet's logs are the fsync'd,
+  corruption-tolerant append-only logs of :mod:`repro.durable`.
 
 The headline is **multi-client in-flight dedupe**: overlapping sweeps
 submitted by different clients share work *while it runs* — each spec

@@ -66,8 +66,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro import durable
+from repro.exec.faults import active_plan, disk_full_due
 from repro.exec.policy import FailedRun, RetryPolicy
-from repro.serve import wal
 
 try:
     import fcntl
@@ -83,6 +84,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: specs are pure — but the dedupe guarantee is per *healthy* fleet).
 DEFAULT_LEASE_TTL = 60.0
 
+#: Bump when fleet record layouts change incompatibly; replays skip
+#: records with a newer ``v`` rather than mis-parsing them.
+FLEET_WAL_VERSION = 1
+
 KIND_ENQUEUE = "enqueue"
 KIND_REQUEUE = "requeue"
 KIND_DONE = "done"
@@ -94,6 +99,14 @@ KIND_RENEW = "renew"
 KIND_RELEASE = "release"
 KIND_EXPIRE = "expire"
 KIND_RESET = "reset"
+
+
+def _append(path: Path, kind: str, disk_full: bool = False,
+            **fields: Any) -> None:
+    """Durably append one fleet WAL record (see :mod:`repro.durable`)."""
+    record: Dict[str, Any] = {"v": FLEET_WAL_VERSION, "kind": kind}
+    record.update(fields)
+    durable.append_record(path, record, disk_full=disk_full)
 
 
 @dataclass(frozen=True)
@@ -185,8 +198,9 @@ class Fleet:
         drain checks) and may be momentarily stale.
         """
         snap = FleetSnapshot()
-        queue_records, queue_corrupt = wal.replay(self.queue_path)
-        for record in queue_records:
+        queue = durable.replay(self.queue_path, FLEET_WAL_VERSION)
+        queue_corrupt = queue.corrupt
+        for record in queue.records:
             kind = record.get("kind")
             spec = record.get("spec", "")
             if kind == KIND_ENQUEUE and spec:
@@ -226,8 +240,8 @@ class Fleet:
                             snap.expired.add(spec)
                     except TypeError:
                         queue_corrupt += 1
-        lease_records, lease_corrupt = wal.replay(self.lease_path)
-        for record in lease_records:
+        leases = durable.replay(self.lease_path, FLEET_WAL_VERSION)
+        for record in leases.records:
             kind = record.get("kind")
             spec = record.get("spec", "")
             if not spec:
@@ -259,7 +273,7 @@ class Fleet:
                 # full budget again.
                 snap.leases.pop(spec, None)
                 snap.lease_counts.pop(spec, None)
-        snap.corrupt_lines = queue_corrupt + lease_corrupt
+        snap.corrupt_lines = queue_corrupt + leases.corrupt
         return snap
 
     # -- transactions ----------------------------------------------------------
@@ -288,12 +302,11 @@ class Fleet:
                 if spec in snap.enqueued:
                     continue
                 if deadline is None:
-                    wal.append_record(self.queue_path, KIND_ENQUEUE,
-                                      spec=spec, payload=payload)
+                    _append(self.queue_path, KIND_ENQUEUE,
+                            spec=spec, payload=payload)
                 else:
-                    wal.append_record(self.queue_path, KIND_ENQUEUE,
-                                      spec=spec, payload=payload,
-                                      deadline=deadline)
+                    _append(self.queue_path, KIND_ENQUEUE,
+                            spec=spec, payload=payload, deadline=deadline)
                 appended.append(spec)
         return appended
 
@@ -316,8 +329,8 @@ class Fleet:
             for spec, payload in payloads.items():
                 if spec in pending:
                     continue
-                wal.append_record(self.queue_path, KIND_REQUEUE,
-                                  spec=spec, payload=payload)
+                _append(self.queue_path, KIND_REQUEUE,
+                        spec=spec, payload=payload)
                 reopened.append(spec)
         return reopened
 
@@ -350,8 +363,8 @@ class Fleet:
             now = time.time()
             for spec, (_owner, count, expires) in list(snap.leases.items()):
                 if expires <= now:
-                    wal.append_record(self.lease_path, KIND_EXPIRE,
-                                      spec=spec, count=count)
+                    _append(self.lease_path, KIND_EXPIRE,
+                            spec=spec, count=count)
                     del snap.leases[spec]
             for spec in snap.pending():
                 if spec in snap.leases:
@@ -365,10 +378,8 @@ class Fleet:
                     self._append_quarantine(snap, spec, count - 1)
                     continue
                 expires = now + self.ttl
-                wal.append_record(
-                    self.lease_path, KIND_LEASE, spec=spec, worker=worker,
-                    count=count, expires=expires,
-                )
+                _append(self.lease_path, KIND_LEASE, spec=spec,
+                        worker=worker, count=count, expires=expires)
                 return Claim(
                     spec_hash=spec,
                     payload=snap.enqueued[spec],
@@ -390,8 +401,8 @@ class Fleet:
                   "start this spec",
             kind="timeout",
         )
-        wal.append_record(self.queue_path, KIND_EXPIRED, spec=spec,
-                          failure=failure.describe())
+        _append(self.queue_path, KIND_EXPIRED, spec=spec,
+                failure=failure.describe())
         return failure
 
     def _append_quarantine(self, snap: FleetSnapshot, spec: str,
@@ -408,8 +419,8 @@ class Fleet:
                   "--retry-failed or `quarantine clear`",
             kind="poison",
         )
-        wal.append_record(self.queue_path, KIND_QUARANTINE, spec=spec,
-                          failure=failure.describe())
+        _append(self.queue_path, KIND_QUARANTINE, spec=spec,
+                failure=failure.describe())
         return failure
 
     def renew(self, spec_hash: str, worker: str) -> Optional[float]:
@@ -434,8 +445,8 @@ class Fleet:
                 # resolves the spec as expired.
                 return None
             expires = time.time() + self.ttl
-            wal.append_record(self.lease_path, KIND_RENEW, spec=spec_hash,
-                              worker=worker, expires=expires)
+            _append(self.lease_path, KIND_RENEW, spec=spec_hash,
+                    worker=worker, expires=expires)
         return expires
 
     def release(self, spec_hash: str, worker: str) -> None:
@@ -447,8 +458,8 @@ class Fleet:
         not after a TTL lapse.
         """
         with self._locked():
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
 
     def mark_done(self, spec_hash: str, worker: str, seconds: float,
                   lease_count: int = 0) -> None:
@@ -464,21 +475,21 @@ class Fleet:
         for a prompt reclaim.
         """
         with self._locked():
-            wal.append_record(self.queue_path, KIND_DONE, spec=spec_hash,
-                              worker=worker, seconds=round(seconds, 6),
-                              fault_key=f"done:{spec_hash}",
-                              fault_attempt=lease_count)
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            _append(self.queue_path, KIND_DONE, spec=spec_hash,
+                    worker=worker, seconds=round(seconds, 6),
+                    disk_full=disk_full_due(active_plan(),
+                                            f"done:{spec_hash}", lease_count))
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
 
     def mark_failed(self, failure: FailedRun, worker: str) -> None:
         """Resolve a spec as failed; subscribers receive the hole."""
         with self._locked():
-            wal.append_record(self.queue_path, KIND_FAILED,
-                              spec=failure.spec_hash,
-                              failure=failure.describe())
-            wal.append_record(self.lease_path, KIND_RELEASE,
-                              spec=failure.spec_hash, worker=worker)
+            _append(self.queue_path, KIND_FAILED,
+                    spec=failure.spec_hash,
+                    failure=failure.describe())
+            _append(self.lease_path, KIND_RELEASE,
+                    spec=failure.spec_hash, worker=worker)
 
     def mark_expired(self, spec_hash: str, worker: str) -> Optional[FailedRun]:
         """Resolve a claimed spec whose deadline passed before it ran.
@@ -493,8 +504,8 @@ class Fleet:
             failure = None
             if spec_hash in snap.pending():
                 failure = self._append_expired(snap, spec_hash)
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
         return failure
 
     def expire_deadlines(self, now: Optional[float] = None) -> List[str]:
@@ -539,9 +550,9 @@ class Fleet:
                 payload = snap.enqueued.get(spec)
                 if payload is None:
                     continue
-                wal.append_record(self.queue_path, KIND_REQUEUE,
-                                  spec=spec, payload=payload)
-                wal.append_record(self.lease_path, KIND_RESET, spec=spec)
+                _append(self.queue_path, KIND_REQUEUE,
+                        spec=spec, payload=payload)
+                _append(self.lease_path, KIND_RESET, spec=spec)
                 cleared.append(spec)
         return cleared
 
@@ -559,9 +570,9 @@ class Fleet:
             snap = self.snapshot()
             if spec_hash not in snap.quarantined:
                 return False
-            wal.append_record(self.queue_path, KIND_DONE, spec=spec_hash,
-                              worker="fsck", seconds=0.0)
-            wal.append_record(self.lease_path, KIND_RESET, spec=spec_hash)
+            _append(self.queue_path, KIND_DONE, spec=spec_hash,
+                    worker="fsck", seconds=0.0)
+            _append(self.lease_path, KIND_RESET, spec=spec_hash)
         return True
 
 

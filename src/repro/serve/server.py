@@ -49,11 +49,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
+from repro import durable
 from repro.core.simulation import RunResult
 from repro.exec.store import ResultStore
 from repro.obs.metrics import derive_metrics, harvest_result
-from repro.serve import wal
 from repro.serve.fleet import (
+    FLEET_WAL_VERSION,
     KIND_DONE,
     KIND_EXPIRED,
     KIND_FAILED,
@@ -472,7 +473,8 @@ class SweepServer:
         while True:
             await self._sweep_deadlines()
             records, self._queue_offset = await asyncio.to_thread(
-                wal.read_tail, self.fleet.queue_path, self._queue_offset
+                durable.read_tail, self.fleet.queue_path, self._queue_offset,
+                FLEET_WAL_VERSION,
             )
             for record in records:
                 kind = record.get("kind")

@@ -19,9 +19,9 @@ faster than rebuilding.  Correctness guards:
   switching Python versions invalidates every stale entry rather than
   silently replaying it;
 * a corrupt or truncated file is treated as a miss and rebuilt in place;
-* writes go through a temp file + :func:`os.replace`, so a crashed or
-  concurrent builder can never publish a half-written entry (same
-  discipline as the result store).
+* writes go through :func:`repro.durable.atomic_write`, so a crashed or
+  concurrent builder can never publish a half-written entry.  They skip
+  the ``fsync``: an entry lost to a power cut is simply rebuilt.
 
 Sharing the restored image across runs is sound for the same reason the
 in-process memo may share it: the simulated machine's stores replay the
@@ -36,11 +36,11 @@ import hashlib
 import marshal
 import os
 import sys
-import tempfile
 from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro import durable
 from repro.workloads.image import MemoryImage
 
 Trace = List[Tuple[int, int, int, int, int]]
@@ -137,15 +137,7 @@ def save(name: str, n_instructions: int, trace: Trace, image: MemoryImage) -> No
         image.writes,
     )
     try:
-        target = path_for(name, n_instructions)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(marshal.dumps(payload))
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        durable.atomic_write(path_for(name, n_instructions),
+                             marshal.dumps(payload), sync=False)
     except OSError:
         return

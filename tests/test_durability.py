@@ -8,6 +8,7 @@ so the subprocess chaos loops here provably terminate and the resumed
 output is asserted byte-identical, not merely "close".
 """
 
+import contextlib
 import dataclasses
 import glob
 import json
@@ -41,6 +42,7 @@ from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, executor_summary_line
+from repro.serve import Fleet
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -70,7 +72,7 @@ def _executor(store, **kwargs):
     return Executor(store=store, **kwargs)
 
 
-# -- sweep identity ------------------------------------------------------------
+# -- sweep identity -----------------------------------------------------------
 
 def test_sweep_identity_is_stable_and_sensitive():
     policy = RetryPolicy()
@@ -89,7 +91,7 @@ def test_journal_path_is_stable(tmp_path):
     assert journal_path(tmp_path, sweep).suffix == ".jsonl"
 
 
-# -- the journal file ----------------------------------------------------------
+# -- the journal file ---------------------------------------------------------
 
 def test_journal_round_trips_lifecycle(tmp_path):
     path = tmp_path / "sweep.jsonl"
@@ -181,7 +183,64 @@ def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
     assert len(set(decisions.values())) == 2
 
 
-# -- executor integration: journal + resume ------------------------------------
+# -- a failed append rolls back (every append-only log) -----------------------
+
+@contextlib.contextmanager
+def _file_size_limit(nbytes):
+    """Make writes past ``nbytes`` fail with EFBIG, as a full disk would.
+
+    The write that crosses the limit lands partially, then the next
+    write(2) fails — an append dies mid-line, whatever the writer's
+    buffering.
+    """
+    resource = pytest.importorskip("resource")
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("no RLIMIT_FSIZE signal on this platform")
+    previous = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, previous)
+
+
+def _journal_log(root):
+    path = root / "sweep.jsonl"
+    journal = SweepJournal(path, "abc")
+    return (path,
+            lambda tag: journal.done(tag, "swim", "Base", "simulated"),
+            lambda: list(read_state(path).done))
+
+
+def _ledger_log(root):
+    ledger = Ledger(root / "BENCH_obs.json")
+    return (ledger.path,
+            lambda tag: ledger.append(make_record(tag, 1.0)),
+            lambda: [record.label for record in ledger.read()])
+
+
+def _fleet_wal(root):
+    fleet = Fleet(root)
+    return (fleet.queue_path,
+            lambda tag: fleet.enqueue({tag: {"benchmark": "swim"}}),
+            lambda: list(fleet.snapshot().enqueued))
+
+
+@pytest.mark.parametrize("log", [_journal_log, _ledger_log, _fleet_wal],
+                         ids=["journal", "ledger", "fleet-wal"])
+def test_failed_append_does_not_swallow_the_next_record(tmp_path, log):
+    path, append, read = log(tmp_path)
+    append("first")
+    with _file_size_limit(path.stat().st_size + 16):
+        with pytest.raises(OSError):
+            append("torn")
+    append("second")
+    assert read() == ["first", "second"]
+
+
+# -- executor integration: journal + resume -----------------------------------
 
 def test_multi_spec_batches_journal_and_resume_serves(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
@@ -276,7 +335,7 @@ def test_corrupt_journal_chaos_degrades_to_store_hits(tmp_path):
     assert _as_dicts(results) == _as_dicts(originals)
 
 
-# -- persisted failures and --retry-failed -------------------------------------
+# -- persisted failures and --retry-failed ------------------------------------
 
 def test_journaled_failures_are_served_not_rerun(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
@@ -317,7 +376,7 @@ def test_strict_resume_reruns_journaled_failures(tmp_path, capsys):
     assert not any(isinstance(r, FailedRun) for r in results)
 
 
-# -- graceful shutdown ---------------------------------------------------------
+# -- graceful shutdown --------------------------------------------------------
 
 def test_shutdown_manager_request_and_reset():
     manager = ShutdownManager(grace=1.0)
@@ -375,7 +434,7 @@ def test_requested_shutdown_stops_dispatch_and_journals(tmp_path):
     assert read_state(path).complete
 
 
-# -- store integrity -----------------------------------------------------------
+# -- store integrity ----------------------------------------------------------
 
 def _tamper_result(path):
     """Flip a result value while keeping the JSON perfectly parseable."""
@@ -455,13 +514,40 @@ def test_fsck_detects_and_prunes(tmp_path, capsys):
     assert "BAD" in rendered and "pruned" in rendered
 
 
+def test_temp_with_out_of_range_pid_is_stale_not_fatal(tmp_path, capsys):
+    from repro.exec.__main__ import main as exec_main
+
+    # os.kill raises OverflowError, not OSError, for a pid beyond a C int.
+    name = ".junk.99999999999.tmp"
+    store = ResultStore(tmp_path)
+    spec = RunSpec("swim", "Base", n_instructions=N)
+    ckpt_dir = store.ckpt_root / spec.content_hash
+    ckpt_dir.mkdir(parents=True)
+    temps = [tmp_path / name, ckpt_dir / name]
+    for temp in temps:
+        temp.write_text("x")
+
+    assert store.put(spec, spec.execute()).exists()
+    assert not temps[0].exists()  # put's own sweep reaped it
+    temps[0].write_text("x")
+
+    exec_main(["fsck", "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert f"TMP  {name}: stale temp" in out
+    assert "1 stale temp(s)" in out
+    assert all(temp.exists() for temp in temps)
+
+    assert exec_main(["fsck", "--cache-dir", str(tmp_path), "--prune"]) == 0
+    assert not any(temp.exists() for temp in temps)
+
+
 def test_fsck_report_describe_is_json_ready(tmp_path):
     report = ResultStore(tmp_path / "empty").fsck()
     assert report.clean
     assert json.loads(json.dumps(report.describe()))["scanned"] == 0
 
 
-# -- telemetry and ledger plumbing ---------------------------------------------
+# -- telemetry and ledger plumbing --------------------------------------------
 
 def test_summary_line_shows_journal_served_only_when_nonzero():
     clean = executor_summary_line(Telemetry(), MetricsRegistry())
@@ -493,7 +579,7 @@ def test_ledger_appends_serialise_under_concurrency(tmp_path):
     assert len({r.label for r in records}) == per_thread * threads
 
 
-# -- the CLI under durability chaos --------------------------------------------
+# -- the CLI under durability chaos -------------------------------------------
 
 def _cli_env(tmp_path, faults=None, cache="cache"):
     env = dict(os.environ)

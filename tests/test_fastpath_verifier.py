@@ -19,9 +19,8 @@ from repro.analysis.fastpath import (
     verify_source,
 )
 from repro.core.simulation import build_machine
-from repro.cpu import codecache
+from repro.cpu import fastpath
 from repro.cpu.fastpath import (
-    EMITTER_VERSION,
     GUARDS,
     STATE_OF_BINDING,
     emit_replay_source,
@@ -36,7 +35,7 @@ ARTIFACTS = list(iter_tree_artifacts())
 LABELS = [label for label, _, _ in ARTIFACTS]
 
 
-# -- the verifier accepts what the emitters produce ----------------------------
+# -- the verifier accepts what the emitters produce ---------------------------
 
 @pytest.mark.parametrize("label", LABELS)
 def test_emitted_source_verifies_clean(label):
@@ -57,7 +56,7 @@ def test_all_registered_shapes_are_covered():
         assert kinds == {"load", "store", "ifetch", "loop"}
 
 
-# -- THE mutation test: every guard, every shape -------------------------------
+# -- THE mutation test: every guard, every shape ------------------------------
 
 @pytest.mark.parametrize("label", LABELS)
 def test_dropping_any_guard_is_flagged(label):
@@ -182,7 +181,7 @@ def test_emitter_metadata_is_coherent():
             or state == "speculation.counters", state
 
 
-# -- shape extraction ----------------------------------------------------------
+# -- shape extraction ---------------------------------------------------------
 
 def test_shape_of_reflects_the_machine():
     # TK is an L1-level prefetcher: its hook hangs off l1d, so the store
@@ -206,29 +205,27 @@ def test_verify_rejects_unparseable_source():
     assert any(rule == "SIM801" for rule, _, _ in findings)
 
 
-# -- codecache versioning (satellite: emitter version in the SHA key) ----------
+# -- compiled-code memo -------------------------------------------------------
 
-def test_codecache_version_partitions_the_key(tmp_path, monkeypatch):
-    monkeypatch.setattr(codecache, "cache_dir", lambda: tmp_path)
-    codecache._MEMO.clear()
-    source = "def f():\n    return 41\n"
-    code_v0 = codecache.load_or_compile(source, "<test>", version=0)
-    code_v1 = codecache.load_or_compile(source, "<test>", version=1)
-    assert codecache._path_for(source, 0) != codecache._path_for(source, 1)
-    assert (0, source) in codecache._MEMO and (1, source) in codecache._MEMO
-    ns0, ns1 = {}, {}
-    exec(code_v0, ns0)
-    exec(code_v1, ns1)
-    assert ns0["f"]() == ns1["f"]() == 41
+def test_each_distinct_source_compiles_once_per_process(monkeypatch):
+    compiled = []
 
+    def counting_compile(source, filename, mode):
+        compiled.append(source)
+        return compile(source, filename, mode)
 
-def test_speculator_compiles_under_current_emitter_version():
-    _, hierarchy = build_machine(None, None, MemoryImage())
-    source, _ = emit_replay_source(hierarchy, "load")
-    codecache.load_or_compile(
-        source, "<repro.cpu.fastpath>", version=EMITTER_VERSION
-    )
-    assert (EMITTER_VERSION, source) in codecache._MEMO
+    monkeypatch.setattr(fastpath, "_COMPILED", {})
+    monkeypatch.setattr(fastpath, "compile", counting_compile, raising=False)
+    sources = []
+    for _ in range(2):  # two machines of one shape emit the same sources
+        _, hierarchy = build_machine(None, None, MemoryImage())
+        for kind in ("load", "store", "ifetch"):
+            source, _ = emit_replay_source(hierarchy, kind)
+            sources.append(source)
+            code = fastpath.compile_generated(source, "<repro.cpu.fastpath>")
+            assert code is fastpath.compile_generated(source, "<other>")
+    assert len(sources) == 6
+    assert sorted(compiled) == sorted(set(sources))
 
 
 # -- the standalone marker ----------------------------------------------------

@@ -13,6 +13,7 @@ Covers the tentpole contracts:
   ``python -m repro.obs`` records and diffs ledger entries.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -344,6 +345,30 @@ def test_diff_accepts_improvements():
     before = _record("bench", 1.5, instructions=8000)
     after = _record("bench", 1.0, instructions=8000)
     assert not any(r.regression for r in diff_records(before, after))
+
+
+def test_diff_fails_any_simulated_delta_under_one_spec_hash(tmp_path):
+    metrics = {"ipc": 0.5, "l1_mpki": 12.0}
+    before = _record("bench", 1.0, spec_hash="ab" * 32, metrics=metrics)
+    after = _record("bench", 1.0, spec_hash="ab" * 32,
+                    metrics={**metrics, "ipc": 0.499})
+    rows = {row.metric: row for row in diff_records(before, after)}
+    assert rows["ipc"].regression          # a 0.2% IPC delta is a bug
+    assert not rows["l1_mpki"].regression
+    # Different specs legitimately simulate different numbers.
+    other = dataclasses.replace(after, spec_hash="cd" * 32)
+    assert not any(row.regression for row in diff_records(before, other))
+
+    ledger = tmp_path / "BENCH_obs.json"
+    Ledger(ledger).append(before)
+    Ledger(ledger).append(after)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.obs", "--ledger", str(ledger),
+         "diff", "prev", "latest", "--fail-on-regression"],
+        capture_output=True, text=True, env=_env(), cwd=REPO,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 regression " in proc.stdout
 
 
 # -- CLI integration -----------------------------------------------------------

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import durable
 from repro.exec import ResultStore, RunSpec
 from repro.exec.faults import (
     FaultPlan,
@@ -49,7 +50,6 @@ from repro.serve import (
     Worker,
     spec_payload,
 )
-from repro.serve import wal
 from repro.serve.fleet import (
     KIND_ENQUEUE,
     KIND_QUARANTINE,
@@ -141,8 +141,9 @@ def test_fleet_quarantines_a_spec_that_burns_its_leases(tmp_path):
 
     # The verdict is a durable queue-WAL record, not claimant memory:
     # a fresh replay (new Fleet object) reaches the same state.
-    records, corrupt = wal.replay(fleet.queue_path)
-    assert corrupt == 0
+    log = durable.replay(fleet.queue_path)
+    records = log.records
+    assert log.corrupt == 0
     assert [r["kind"] for r in records
             if r["kind"] == KIND_QUARANTINE] == [KIND_QUARANTINE]
     assert Fleet(tmp_path).snapshot().quarantined == {HASH_A}
@@ -169,7 +170,7 @@ def test_clear_quarantine_reopens_with_a_fresh_pedigree(tmp_path):
     claim = generous.claim("w2")
     assert claim is not None and claim.lease_count == 1
     # And the reset is on disk, not in this process.
-    records, _ = wal.replay(fleet.lease_path)
+    records = durable.replay(fleet.lease_path).records
     assert KIND_RESET in [r["kind"] for r in records]
 
 
@@ -237,25 +238,25 @@ def test_store_put_under_disk_full_leaves_no_torn_entry(tmp_path):
 
 
 def test_wal_append_under_disk_full_leaves_no_torn_line(tmp_path):
-    path = tmp_path / "queue.jsonl"
-    wal.append_record(path, KIND_ENQUEUE, spec=HASH_A, payload=_payload())
+    fleet = Fleet(tmp_path / "serve")
+    fleet.enqueue({HASH_A: _payload()})
+    path = fleet.queue_path
     size_before = path.stat().st_size
     set_active_plan(parse_fault_spec("disk-full:1.0,seed=1"))
     try:
         with pytest.raises(OSError):
-            wal.append_record(path, "done", spec=HASH_A,
-                              fault_key="done:" + HASH_A, fault_attempt=1)
+            fleet.mark_done(HASH_A, "w1", 0.5, lease_count=1)
         # The log is exactly as it was: no torn tail to tolerate.
         assert path.stat().st_size == size_before
-        records, corrupt = wal.replay(path)
-        assert corrupt == 0 and [r["kind"] for r in records] == [KIND_ENQUEUE]
-        wal.append_record(path, "done", spec=HASH_A,
-                          fault_key="done:" + HASH_A, fault_attempt=2)
+        log = durable.replay(path)
+        assert log.corrupt == 0
+        assert [r["kind"] for r in log.records] == [KIND_ENQUEUE]
+        fleet.mark_done(HASH_A, "w1", 0.5, lease_count=2)
     finally:
         set_active_plan(None)
-    records, corrupt = wal.replay(path)
-    assert corrupt == 0
-    assert [r["kind"] for r in records] == [KIND_ENQUEUE, "done"]
+    log = durable.replay(path)
+    assert log.corrupt == 0
+    assert [r["kind"] for r in log.records] == [KIND_ENQUEUE, "done"]
 
 
 def test_worker_releases_its_lease_when_the_store_write_fails(tmp_path):
@@ -451,7 +452,7 @@ def test_service_sheds_over_the_watermark_and_converges(tmp_path):
 
         # Shedding reserved nothing: each hash was enqueued exactly
         # once, by the submission that was actually admitted.
-        records, _ = wal.replay(svc.fleet.queue_path)
+        records = durable.replay(svc.fleet.queue_path).records
         enqueues = [r["spec"] for r in records if r["kind"] == KIND_ENQUEUE]
         assert sorted(enqueues) == sorted(
             [spec_a.content_hash, spec_b.content_hash])
