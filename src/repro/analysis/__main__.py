@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import repro
-from repro.analysis import all_rules, analyze_paths
+from repro.analysis import all_rules, analyze_modules, load_paths
 from repro.analysis.core import Violation
 
 
@@ -108,7 +108,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: no such path: {target}", file=sys.stderr)
             return 2
 
-    violations = analyze_paths(targets, select=args.select)
+    modules, errors = load_paths(targets)
+    violations = errors + analyze_modules(modules, select=args.select)
 
     if args.format == "json":
         print(json.dumps(
@@ -119,9 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for violation in violations:
             print(violation.render())
-        n_files = sum(
-            len(list(t.rglob("*.py"))) if t.is_dir() else 1 for t in targets
-        )
+        n_files = len(modules) + len(errors)
         summary = (
             f"simlint: {len(violations)} violation"
             f"{'' if len(violations) == 1 else 's'} in {n_files} files"

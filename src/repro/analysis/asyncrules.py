@@ -39,8 +39,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence
 
-from repro.analysis.contract import _rule
-from repro.analysis.core import SourceModule, Violation, make_violation, rule
+from repro.analysis.core import SourceModule, Violation, make_violation, rule, rule_by_id
 
 #: Attribute calls that block regardless of what they are called on:
 #: pathlib file I/O reads the whole file on the calling thread.
@@ -146,14 +145,12 @@ def check_unbounded_queue(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.nodes(ast.Call):
         reason = _unbounded_reason(node)
         if reason is None:
             continue
         found.append(make_violation(
-            _rule("SIM605"), module, node,
+            rule_by_id("SIM605"), module, node,
             f"{reason} buffers without bound, turning overload into "
             "silent memory growth; pass an explicit bound or justify "
             "with allow[SIM605] why growth is capped elsewhere",
@@ -169,9 +166,7 @@ def check_blocking_in_async(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.AsyncFunctionDef):
-            continue
+    for node in module.nodes(ast.AsyncFunctionDef):
         for inner in _direct_body(node):
             if not isinstance(inner, ast.Call):
                 continue
@@ -179,7 +174,7 @@ def check_blocking_in_async(
             if reason is None:
                 continue
             found.append(make_violation(
-                _rule("SIM604"), module, inner,
+                rule_by_id("SIM604"), module, inner,
                 f"{reason} inside async def {node.name}(), stalling "
                 "every client sharing the event loop; offload it with "
                 "asyncio.to_thread (or run_in_executor)",

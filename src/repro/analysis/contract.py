@@ -27,12 +27,14 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (
-    Rule,
+    RunIndex,
     SourceModule,
     Violation,
-    all_rules,
+    base_names,
     make_violation,
     rule,
+    rule_by_id,
+    run_index,
 )
 
 _PACKAGES = ("mechanisms",)
@@ -64,13 +66,13 @@ def _positional_names(args: ast.arguments) -> Tuple[str, ...]:
     return tuple(names[1:])  # drop self
 
 
-def _base_hooks(modules: Sequence[SourceModule]) -> Dict[str, Tuple[str, ...]]:
+def _base_hooks(index: RunIndex) -> Dict[str, Tuple[str, ...]]:
     """Hook signatures from the scanned ``mechanisms/base.py``, else fallback."""
-    for module in modules:
+    for module in index:
         if module.module != "mechanisms.base":
             continue
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "Mechanism":
+        for node in module.nodes(ast.ClassDef):
+            if node.name == "Mechanism":
                 hooks = {}
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
@@ -81,42 +83,28 @@ def _base_hooks(modules: Sequence[SourceModule]) -> Dict[str, Tuple[str, ...]]:
     return FALLBACK_HOOKS
 
 
+def _mechanism_names(index: RunIndex) -> Set[str]:
+    """Class names that (transitively, by name) subclass Mechanism."""
+    known: Set[str] = set(_BASE_CLASS_NAMES)
+    # Fixed point over every scanned class so cross-file bases resolve.
+    classes = [(node.name, set(base_names(node))) for _, node in index.classes()]
+    while True:
+        grown = {name for name, bases in classes if bases & known} - known
+        if not grown:
+            return known
+        known |= grown
+
+
 def _mechanism_classes(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[ast.ClassDef]:
-    """Classes in ``module`` that (transitively, by name) subclass Mechanism."""
-    known: Set[str] = set(_BASE_CLASS_NAMES)
-    # Fixed point over every scanned module so cross-file bases resolve.
-    grew = True
-    class_bases: List[Tuple[str, Set[str]]] = []
-    for mod in modules:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.ClassDef):
-                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-                bases |= {b.attr for b in node.bases
-                          if isinstance(b, ast.Attribute)}
-                class_bases.append((node.name, bases))
-    while grew:
-        grew = False
-        for name, bases in class_bases:
-            if name not in known and bases & known:
-                known.add(name)
-                grew = True
-    found = []
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name != "Mechanism":
-            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-            bases |= {b.attr for b in node.bases if isinstance(b, ast.Attribute)}
-            if bases & known:
-                found.append(node)
-    return found
-
-
-def _rule(rule_id: str) -> Rule:
-    for registered in all_rules():
-        if registered.rule_id == rule_id:
-            return registered
-    raise KeyError(rule_id)
+    """Top-level classes in ``module`` that subclass Mechanism."""
+    known = run_index(modules).fact(_mechanism_names)
+    return [
+        node for node in module.tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "Mechanism"
+        and set(base_names(node)) & known
+    ]
 
 
 @rule("SIM101", "bad-level", _PACKAGES,
@@ -136,7 +124,7 @@ def check_level(
             ok = isinstance(value, ast.Constant) and value.value in ("l1", "l2")
             if not ok:
                 found.append(make_violation(
-                    _rule("SIM101"), module, item,
+                    rule_by_id("SIM101"), module, item,
                     f"{cls.name}.LEVEL must be the literal 'l1' or 'l2' "
                     "(the hierarchy attaches by this value)",
                 ))
@@ -148,7 +136,7 @@ def check_level(
 def check_unknown_hook(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    hooks = _base_hooks(modules)
+    hooks = run_index(modules).fact(_base_hooks)
     found = []
     for cls in _mechanism_classes(module, modules):
         for item in cls.body:
@@ -157,7 +145,7 @@ def check_unknown_hook(
             looks_like_hook = item.name.startswith("on_") or item.name == "probe"
             if looks_like_hook and item.name not in hooks:
                 found.append(make_violation(
-                    _rule("SIM102"), module, item,
+                    rule_by_id("SIM102"), module, item,
                     f"{cls.name}.{item.name} looks like a contract hook but "
                     f"the base Mechanism defines none of that name — the "
                     f"hierarchy will silently never call it "
@@ -171,7 +159,7 @@ def check_unknown_hook(
 def check_hook_signature(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    hooks = _base_hooks(modules)
+    hooks = run_index(modules).fact(_base_hooks)
     found = []
     for cls in _mechanism_classes(module, modules):
         for item in cls.body:
@@ -181,7 +169,7 @@ def check_hook_signature(
             want = hooks[item.name]
             if got != want:
                 found.append(make_violation(
-                    _rule("SIM103"), module, item,
+                    rule_by_id("SIM103"), module, item,
                     f"{cls.name}.{item.name}({', '.join(got)}) does not match "
                     f"the contract signature ({', '.join(want)})",
                 ))
@@ -216,7 +204,7 @@ def check_raw_queue_push(
             )
             if is_queue_attr or pushes_request:
                 found.append(make_violation(
-                    _rule("SIM104"), module, node,
+                    rule_by_id("SIM104"), module, node,
                     f"{cls.name} pushes into a prefetch queue directly; use "
                     "emit_prefetch so the emission stat and drop accounting "
                     "stay correct",
@@ -269,7 +257,7 @@ def check_undeclared_structure(
             )
             if is_container:
                 found.append(make_violation(
-                    _rule("SIM105"), module, node,
+                    rule_by_id("SIM105"), module, node,
                     f"{cls.name} allocates a side table here but defines no "
                     "structures() override — the CACTI cost model will price "
                     "this hardware at zero bytes",
@@ -312,7 +300,7 @@ def check_registry(
     for name, line in factories:
         if name not in info_names:
             found.append(make_violation(
-                _rule("SIM106"), module, line,
+                rule_by_id("SIM106"), module, line,
                 f"factory {name!r} has no _INFO catalogue entry",
             ))
     listed: List[Tuple[str, int]] = []
@@ -330,7 +318,7 @@ def check_registry(
     for name, line in listed:
         if name != baseline_name and name not in factory_names:
             found.append(make_violation(
-                _rule("SIM106"), module, line,
+                rule_by_id("SIM106"), module, line,
                 f"listed mechanism {name!r} has no factory",
             ))
     return found

@@ -6,6 +6,13 @@ and hands the whole collection to each registered rule, so rules can be
 cross-file (the mechanism-contract rules read hook signatures out of
 ``mechanisms/base.py`` while checking ``mechanisms/tcp.py``).
 
+Indexing
+--------
+Rules never walk a whole tree.  Each module is walked once, on first
+use, into per-node-type buckets (:meth:`SourceModule.nodes`), and each
+cross-module fact is derived once per run (:meth:`RunIndex.fact`), so a
+full run is linear in the size of the tree.
+
 Scoping
 -------
 Rules declare the packages they police (``PACKAGES``).  A module that
@@ -33,9 +40,13 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Type, TypeVar, cast,
+)
 
 #: Packages (dotted, relative to ``repro``) that constitute the simulated
 #: path: code whose behaviour feeds a RunResult and therefore the
@@ -79,10 +90,15 @@ class AllowEntry:
         return "*" in self.rules or rule in self.rules
 
 
-#: ``ast.parse`` calls performed through :class:`SourceModule` since the
-#: last :func:`clear_parse_cache`.  Tests assert on this to pin the
-#: parse-each-file-exactly-once property of a full run.
+#: ``ast.parse`` calls and per-module node indexes built through
+#: :class:`SourceModule` since the last :func:`clear_parse_cache`.  Tests
+#: assert on these to pin the parse-once and walk-once properties of a
+#: full run.
 _PARSE_COUNT = 0
+_INDEX_COUNT = 0
+
+N = TypeVar("N", bound=ast.AST)
+T = TypeVar("T")
 
 
 class SourceModule:
@@ -96,6 +112,22 @@ class SourceModule:
         _PARSE_COUNT += 1
         self.tree = ast.parse(text, filename=str(path))
         self.allows = _parse_allows(text)
+        self._buckets: Optional[DefaultDict[type, List[ast.AST]]] = None
+
+    def nodes(self, *kinds: Type[N]) -> List[N]:
+        """Every node of exactly the given types, in ``ast.walk`` order per type.
+
+        The first call walks the tree once and buckets every node by its
+        type; later calls only read the buckets.
+        """
+        global _INDEX_COUNT
+        if self._buckets is None:
+            _INDEX_COUNT += 1
+            self._buckets = defaultdict(list)
+            for node in ast.walk(self.tree):
+                self._buckets[type(node)].append(node)
+        return cast(List[N], [node for kind in kinds
+                              for node in self._buckets.get(kind, ())])
 
     @property
     def standalone(self) -> bool:
@@ -173,6 +205,11 @@ def all_rules() -> List[Rule]:
     return [_RULES[key] for key in sorted(_RULES)]
 
 
+def rule_by_id(rule_id: str) -> Rule:
+    """The registered rule ``rule_id`` (``KeyError`` when unknown)."""
+    return _RULES[rule_id]
+
+
 def make_violation(
     rule_obj: Rule, module: SourceModule, node_or_line: object, message: str
 ) -> Violation:
@@ -198,11 +235,9 @@ def _module_name(path: Path) -> Optional[str]:
     return None
 
 
-#: Cross-call parse cache: resolved path -> (mtime_ns, size, module).
-#: ``analyze_paths`` used to re-parse the whole tree on every call, which
-#: multiplied across the CLI's fixture-rejection loop and the SIM8xx
-#: verifier's repeated whole-tree anchoring; the cache makes a full run
-#: parse each file exactly once (``parse_count`` pins that in tests).
+#: Cross-call parse cache: resolved path -> (mtime_ns, size, module).  A
+#: cached module keeps its node index too, so repeated runs over unchanged
+#: files neither parse nor walk them again.
 _PARSE_CACHE: Dict[str, Tuple[int, int, SourceModule]] = {}
 
 
@@ -211,11 +246,17 @@ def parse_count() -> int:
     return _PARSE_COUNT
 
 
+def index_count() -> int:
+    """Per-module node indexes built since :func:`clear_parse_cache`."""
+    return _INDEX_COUNT
+
+
 def clear_parse_cache() -> None:
-    """Drop cached parses and reset the parse counter (test isolation)."""
-    global _PARSE_COUNT
+    """Drop cached parses and reset both counters (test isolation)."""
+    global _PARSE_COUNT, _INDEX_COUNT
     _PARSE_CACHE.clear()
     _PARSE_COUNT = 0
+    _INDEX_COUNT = 0
 
 
 def _load_file(file: Path) -> SourceModule:
@@ -257,6 +298,47 @@ def load_paths(paths: Sequence[Path]) -> Tuple[List[SourceModule], List[Violatio
     return modules, errors
 
 
+# -- the per-run index ----------------------------------------------------------
+
+def base_names(node: ast.ClassDef) -> Tuple[str, ...]:
+    """A class's base names, as ``Name.id`` or the last ``Attribute.attr``."""
+    names = []
+    for base in node.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return tuple(names)
+
+
+class RunIndex(Tuple[SourceModule, ...]):
+    """The modules of one analyzer run plus cross-module facts derived once.
+
+    :func:`analyze_modules` passes one to every rule as ``modules``.
+    ``run_index(modules).fact(derive)`` calls ``derive(index)`` on the
+    run's first request and returns that result to every later one.
+    """
+
+    def __init__(self, modules: Iterable[SourceModule]) -> None:
+        self._facts: Dict[Callable[[RunIndex], object], object] = {}
+
+    def fact(self, derive: Callable[["RunIndex"], T]) -> T:
+        if derive not in self._facts:
+            self._facts[derive] = derive(self)
+        return cast(T, self._facts[derive])
+
+    def classes(self) -> Iterator[Tuple[SourceModule, ast.ClassDef]]:
+        """The cross-module class table, in module then walk order."""
+        for module in self:
+            for node in module.nodes(ast.ClassDef):
+                yield module, node
+
+
+def run_index(modules: Sequence[SourceModule]) -> RunIndex:
+    """``modules`` as a :class:`RunIndex` (a fresh one for a plain list)."""
+    return modules if isinstance(modules, RunIndex) else RunIndex(modules)
+
+
 # -- running -------------------------------------------------------------------
 
 def _check_allow_reasons(module: SourceModule) -> List[Violation]:
@@ -283,14 +365,15 @@ def analyze_modules(
         prefixes = tuple(select)
         active = [r for r in active if r.rule_id.startswith(prefixes)
                   or r.name in prefixes]
+    index = run_index(modules)
     violations: List[Violation] = []
-    for module in modules:
+    for module in index:
         violations.extend(_check_allow_reasons(module))
     for rule_obj in active:
-        for module in modules:
+        for module in index:
             if not module.in_package(rule_obj.packages):
                 continue
-            for violation in rule_obj.fn(module, modules):
+            for violation in rule_obj.fn(module, index):
                 if module.allowed(violation.rule, violation.line):
                     continue
                 violations.append(violation)

@@ -34,8 +34,8 @@ from repro.analysis.core import (
     Violation,
     make_violation,
     rule,
+    rule_by_id,
 )
-from repro.analysis.contract import _rule
 
 #: Determinism also matters in the trace *generators*: workloads must
 #: thread an explicit seeded RNG, not lean on the global ``random`` state.
@@ -75,9 +75,7 @@ def check_unseeded_rng(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.nodes(ast.Call):
         parts = _dotted(node.func)
         if not parts:
             continue
@@ -86,13 +84,13 @@ def check_unseeded_rng(
             if parts[1] in _SEEDABLE_CTORS:
                 if not node.args and not node.keywords:
                     found.append(make_violation(
-                        _rule("SIM201"), module, node,
+                        rule_by_id("SIM201"), module, node,
                         f"{'.'.join(parts)}() constructed without a seed; "
                         "pass an explicit seed so runs are reproducible",
                     ))
             else:
                 found.append(make_violation(
-                    _rule("SIM201"), module, node,
+                    rule_by_id("SIM201"), module, node,
                     f"{'.'.join(parts)}() uses the process-global RNG; "
                     "thread an explicitly seeded random.Random through "
                     "instead",
@@ -101,13 +99,13 @@ def check_unseeded_rng(
         if len(parts) >= 3 and parts[-2] == "random":
             if parts[-1] in _NP_RANDOM_FNS:
                 found.append(make_violation(
-                    _rule("SIM201"), module, node,
+                    rule_by_id("SIM201"), module, node,
                     f"{'.'.join(parts[-3:])}() uses numpy's global RNG; use "
                     "np.random.RandomState(seed) / default_rng(seed)",
                 ))
             elif parts[-1] in _SEEDABLE_CTORS and not node.args and not node.keywords:
                 found.append(make_violation(
-                    _rule("SIM201"), module, node,
+                    rule_by_id("SIM201"), module, node,
                     f"{'.'.join(parts[-3:])}() constructed without a seed",
                 ))
     return found
@@ -119,15 +117,13 @@ def check_wall_clock(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.nodes(ast.Call):
         parts = _dotted(node.func)
         if len(parts) < 2:
             continue
         if (parts[-2], parts[-1]) in _CLOCK_CALLS:
             found.append(make_violation(
-                _rule("SIM202"), module, node,
+                rule_by_id("SIM202"), module, node,
                 f"{'.'.join(parts)}() reads the wall clock; simulated time "
                 "(the cycle counter) is the only clock the sim path may use",
             ))
@@ -140,7 +136,7 @@ def check_env_read(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes(ast.Call, ast.Subscript, ast.Attribute):
         parts: List[str] = []
         if isinstance(node, ast.Call):
             parts = _dotted(node.func)
@@ -151,14 +147,14 @@ def check_env_read(
         if len(parts) >= 2 and parts[-2] == "os" and parts[-1] in (
                 "getenv", "environ"):
             found.append(make_violation(
-                _rule("SIM203"), module, node,
+                rule_by_id("SIM203"), module, node,
                 "environment read on the simulated path; configuration must "
                 "arrive through the RunSpec so it is part of the content hash",
             ))
         elif len(parts) >= 2 and "environ" in parts[:-1] and isinstance(
                 node, ast.Call):
             found.append(make_violation(
-                _rule("SIM203"), module, node,
+                rule_by_id("SIM203"), module, node,
                 "environment read on the simulated path; configuration must "
                 "arrive through the RunSpec so it is part of the content hash",
             ))
@@ -183,7 +179,8 @@ def check_set_iteration(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes(ast.For, ast.ListComp, ast.SetComp,
+                             ast.DictComp, ast.GeneratorExp, ast.Call):
         iterable = None
         if isinstance(node, ast.For):
             iterable = node.iter
@@ -195,7 +192,7 @@ def check_set_iteration(
                 iterable = node.args[0]
         if iterable is not None and _is_set_expr(iterable):
             found.append(make_violation(
-                _rule("SIM204"), module, node,
+                rule_by_id("SIM204"), module, node,
                 "iterating a set: element order depends on PYTHONHASHSEED "
                 "and poisons content-addressed results; use sorted(...)",
             ))

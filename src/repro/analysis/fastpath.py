@@ -56,12 +56,12 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.contract import _rule
 from repro.analysis.core import (
     SourceModule,
     Violation,
     make_violation,
     rule,
+    rule_by_id,
 )
 
 #: A finding before it is bound to a module: (rule id, line, message).
@@ -1006,7 +1006,7 @@ def _module_findings(module: SourceModule) -> List[Finding]:
 
 def _bind(module: SourceModule, rule_id: str) -> List[Violation]:
     return [
-        make_violation(_rule(rule_id), module, line, message)
+        make_violation(rule_by_id(rule_id), module, line, message)
         for found_id, line, message in _module_findings(module)
         if found_id == rule_id
     ]

@@ -42,13 +42,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.contract import _rule
 from repro.analysis.core import (
     SIM_PATH_PACKAGES,
     SourceModule,
     Violation,
     make_violation,
     rule,
+    rule_by_id,
 )
 
 _PACKAGES = SIM_PATH_PACKAGES
@@ -58,19 +58,12 @@ _SKIP_NODES = _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)
 _LOOP_NODES = (ast.For, ast.While)
 
 
-def _is_hotpath_marked(fn: ast.AST) -> bool:
-    for decorator in getattr(fn, "decorator_list", []):
-        if isinstance(decorator, ast.Name) and decorator.id == "hotpath":
-            return True
-        if isinstance(decorator, ast.Attribute) and decorator.attr == "hotpath":
-            return True
-    return False
-
-
-def _hot_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, _FUNCTION_NODES) and _is_hotpath_marked(node):
-            yield node
+def _hot_functions(module: SourceModule) -> List[ast.AST]:
+    """Functions marked ``@hotpath`` (a bare name or an attribute)."""
+    return [fn for fn in module.nodes(*_FUNCTION_NODES)
+            if any(isinstance(d, ast.Name) and d.id == "hotpath"
+                   or isinstance(d, ast.Attribute) and d.attr == "hotpath"
+                   for d in getattr(fn, "decorator_list", []))]
 
 
 def _scope_walk(nodes: Sequence[ast.AST]) -> Iterator[ast.AST]:
@@ -187,7 +180,7 @@ def check_unhoisted_chain(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found: List[Violation] = []
-    for fn in _hot_functions(module.tree):
+    for fn in _hot_functions(module):
         loops, _ = _hot_scopes(fn)
         for loop in loops:
             scope = _loop_scope(loop)
@@ -219,7 +212,7 @@ def check_unhoisted_chain(
                 first = min(nodes, key=lambda n: (n.lineno, n.col_offset))
                 local = text.rsplit(".", 1)[-1]
                 found.append(make_violation(
-                    _rule("SIM701"), module, first,
+                    rule_by_id("SIM701"), module, first,
                     f"attribute chain '{text}' is read {len(nodes)} times "
                     f"per iteration and never rebound in the loop; hoist "
                     f"it once before the loop ({local} = {text}) so each "
@@ -236,7 +229,7 @@ def check_loop_allocation(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found: List[Violation] = []
-    for fn in _hot_functions(module.tree):
+    for fn in _hot_functions(module):
         _, scope = _hot_scopes(fn)
         cold = _raise_subtree_ids(scope)
         for node in _scope_walk(scope):
@@ -263,7 +256,7 @@ def check_loop_allocation(
             if what is None:
                 continue
             found.append(make_violation(
-                _rule("SIM702"), module, node,
+                rule_by_id("SIM702"), module, node,
                 f"{what} allocates in the hot scope; every record/event "
                 "pays the allocator — build it once outside, reuse a "
                 "preallocated structure, or justify the cost with an "
@@ -279,7 +272,7 @@ def check_per_iteration_frame(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found: List[Violation] = []
-    for fn in _hot_functions(module.tree):
+    for fn in _hot_functions(module):
         _, scope = _hot_scopes(fn)
         for node in _scope_walk(scope):
             if isinstance(node, ast.Try):
@@ -289,7 +282,7 @@ def check_per_iteration_frame(
             else:
                 continue
             found.append(make_violation(
-                _rule("SIM703"), module, node,
+                rule_by_id("SIM703"), module, node,
                 f"'{what}' entered in the hot scope sets up an exception "
                 "frame per iteration; hoist it around the loop, restructure "
                 "to a test, or justify the cost with an allow comment",
@@ -304,7 +297,7 @@ def check_unhoisted_subscript(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found: List[Violation] = []
-    for fn in _hot_functions(module.tree):
+    for fn in _hot_functions(module):
         loops, _ = _hot_scopes(fn)
         scopes = [_loop_scope(loop) for loop in loops] if loops \
             else [list(getattr(fn, "body", []))]
@@ -338,7 +331,7 @@ def check_unhoisted_subscript(
                     continue
                 first = min(nodes, key=lambda n: (n.lineno, n.col_offset))
                 found.append(make_violation(
-                    _rule("SIM704"), module, first,
+                    rule_by_id("SIM704"), module, first,
                     f"constant-key subscript {key} is invariant in this "
                     "scope (container never rebound or passed to a call); "
                     "read it once into a local instead of re-indexing",
@@ -353,7 +346,7 @@ def check_self_call_in_loop(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found: List[Violation] = []
-    for fn in _hot_functions(module.tree):
+    for fn in _hot_functions(module):
         loops, _ = _hot_scopes(fn)
         for loop in loops:
             for node in _scope_walk(_loop_scope(loop)):
@@ -364,7 +357,7 @@ def check_self_call_in_loop(
                     continue
                 bound = text.rsplit(".", 1)[-1]
                 found.append(make_violation(
-                    _rule("SIM705"), module, node,
+                    rule_by_id("SIM705"), module, node,
                     f"call through '{text}' in a hot loop pays two "
                     "attribute lookups per iteration; bind the method "
                     f"once before the loop ({bound} = {text}) — the "

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Sequence
 
-from repro.analysis.contract import _rule
-from repro.analysis.core import SourceModule, Violation, make_violation, rule
+from repro.analysis.core import SourceModule, Violation, make_violation, rule, rule_by_id
 
 _PACKAGES = ("",)  # whole tree
 
@@ -34,43 +33,29 @@ _TRACER_METHODS = frozenset({"begin", "span", "instant", "counter"})
 _TRACER_NAMES = frozenset({"TRACER", "tracer", "_tracer"})
 
 
-def _enclosing_functions(tree: ast.AST) -> List[ast.AST]:
-    return [node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-
-def _inside_add_stat(call: ast.Call, functions: Sequence[ast.AST]) -> bool:
-    """Whether ``call`` sits inside a function named ``add_stat``."""
-    for fn in functions:
-        if getattr(fn, "name", None) != "add_stat":
-            continue
-        for node in ast.walk(fn):
-            if node is call:
-                return True
-    return False
-
-
 @rule("SIM501", "orphan-stat", _PACKAGES,
       "a StatCounter constructed outside Component.add_stat never "
       "reaches stats_report()")
 def check_orphan_stat(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    functions = _enclosing_functions(module.tree)
+    # Nodes inside a function named add_stat, the one sanctioned site.
+    functions = module.nodes(ast.FunctionDef, ast.AsyncFunctionDef)
+    sanctioned = {id(inner) for fn in functions
+                  if getattr(fn, "name", None) == "add_stat"
+                  for inner in ast.walk(fn)}
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.nodes(ast.Call):
         fn = node.func
         name = fn.id if isinstance(fn, ast.Name) else (
             fn.attr if isinstance(fn, ast.Attribute) else None
         )
         if name != "StatCounter":
             continue
-        if _inside_add_stat(node, functions):
+        if id(node) in sanctioned:
             continue
         found.append(make_violation(
-            _rule("SIM501"), module, node,
+            rule_by_id("SIM501"), module, node,
             "StatCounter constructed directly; it will never appear in "
             "stats_report() or any obs metric/ledger record — register it "
             "with self.add_stat(...) instead",
@@ -94,9 +79,7 @@ def check_nonliteral_span_name(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.nodes(ast.Call):
         fn = node.func
         if not (isinstance(fn, ast.Attribute) and fn.attr in _TRACER_METHODS):
             continue
@@ -109,7 +92,7 @@ def check_nonliteral_span_name(
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
             continue
         found.append(make_violation(
-            _rule("SIM502"), module, node,
+            rule_by_id("SIM502"), module, node,
             f"{receiver}.{fn.attr}(...) with a non-literal event name; "
             "dynamic names explode the trace's track count and defeat "
             "cross-run diffing — use a literal name and put the varying "

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Sequence, Set, Tuple
 
-from repro.analysis.core import SourceModule, Violation, make_violation, rule
-from repro.analysis.contract import _rule
+from repro.analysis.core import SourceModule, Violation, make_violation, rule, rule_by_id
 
 #: Modules whose dataclasses define run identity and must be frozen.
 _PACKAGES = ("exec.runspec", "core.config")
@@ -78,7 +77,7 @@ def check_frozen(
             continue
         if not any(_is_frozen(d) for d in decorators):
             found.append(make_violation(
-                _rule("SIM301"), module, node,
+                rule_by_id("SIM301"), module, node,
                 f"{node.name} defines run identity but is a mutable "
                 "dataclass; declare @dataclass(frozen=True) so hashed state "
                 "cannot drift after hashing",
@@ -115,7 +114,7 @@ def check_hash_omission(
         if describe is None:
             if fields:
                 found.append(make_violation(
-                    _rule("SIM302"), module, node,
+                    rule_by_id("SIM302"), module, node,
                     "RunSpec has no describe() method; the content hash has "
                     "nothing canonical to serialise",
                 ))
@@ -124,7 +123,7 @@ def check_hash_omission(
         for name, field_node in fields:
             if name not in described:
                 found.append(make_violation(
-                    _rule("SIM302"), module, field_node,
+                    rule_by_id("SIM302"), module, field_node,
                     f"RunSpec.{name} never appears in describe(): two specs "
                     "differing only in this field share one content hash and "
                     "will silently share one cached result",
@@ -156,7 +155,7 @@ def check_unhashable_field(
                 & _MUTABLE_ANNOTATIONS
             if mutable:
                 found.append(make_violation(
-                    _rule("SIM303"), module, field_node,
+                    rule_by_id("SIM303"), module, field_node,
                     f"{node.name}.{name} is annotated with mutable "
                     f"{'/'.join(sorted(mutable))}; spec fields must be "
                     "hashable (tuples, frozen dataclasses, scalars)",

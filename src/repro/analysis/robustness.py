@@ -34,15 +34,15 @@ methodological rot the paper warns about.
 from __future__ import annotations
 
 import ast
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
-from repro.analysis.contract import _rule
 from repro.analysis.core import (
     SIM_PATH_PACKAGES,
     SourceModule,
     Violation,
     make_violation,
     rule,
+    rule_by_id,
 )
 
 #: The sim path plus the execution layer that shepherds its failures.
@@ -73,17 +73,24 @@ def _is_broad(handler: ast.ExceptHandler) -> bool:
     return any(name in _BROAD_NAMES for name in _caught_names(handler))
 
 
-def _handler_converts(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler re-raises or converts to a FailedRun."""
+def _handler_escapes(
+    handler: ast.ExceptHandler, sanctioned: Callable[[str], bool]
+) -> bool:
+    """Whether the handler body raises or references a ``sanctioned`` name."""
     for node in handler.body:
         for inner in ast.walk(node):
             if isinstance(inner, ast.Raise):
                 return True
-            if isinstance(inner, ast.Name) and inner.id == "FailedRun":
+            if isinstance(inner, ast.Name) and sanctioned(inner.id):
                 return True
-            if isinstance(inner, ast.Attribute) and inner.attr == "FailedRun":
+            if isinstance(inner, ast.Attribute) and sanctioned(inner.attr):
                 return True
     return False
+
+
+def _converts(name: str) -> bool:
+    """A reference that converts the failure to a FailedRun (SIM601)."""
+    return name == "FailedRun"
 
 
 def _is_pass_only(handler: ast.ExceptHandler) -> bool:
@@ -94,30 +101,18 @@ def _is_pass_only(handler: ast.ExceptHandler) -> bool:
 _INTERRUPT_NAMES = frozenset({"KeyboardInterrupt", "SystemExit"})
 
 
-def _routes_shutdown(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler re-raises or defers to the shutdown layer.
+def _routes_shutdown(name: str) -> bool:
+    """Whether a reference defers an interrupt to the shutdown layer (SIM602).
 
-    A ``raise`` anywhere in the body sanctions it (the pass-through
-    idiom and conversion to :class:`SweepInterrupted` both qualify), as
-    does any reference whose name mentions the shutdown machinery —
-    ``SHUTDOWN``, ``ShutdownManager``, ``self.shutdown``,
-    ``SweepInterrupted`` — since routing through the manager is exactly
-    the sanctioned response to an interrupt.
+    Any name mentioning the shutdown machinery — ``SHUTDOWN``,
+    ``ShutdownManager``, ``self.shutdown``, ``SweepInterrupted`` —
+    qualifies, since routing through the manager is exactly the
+    sanctioned response to an interrupt.  A ``raise`` anywhere in the
+    handler (the pass-through idiom, conversion to
+    :class:`SweepInterrupted`) sanctions it through :func:`_handler_escapes`.
     """
-    for node in handler.body:
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Raise):
-                return True
-            name = None
-            if isinstance(inner, ast.Name):
-                name = inner.id
-            elif isinstance(inner, ast.Attribute):
-                name = inner.attr
-            if name is not None:
-                lowered = name.lower()
-                if "shutdown" in lowered or lowered == "sweepinterrupted":
-                    return True
-    return False
+    lowered = name.lower()
+    return "shutdown" in lowered or lowered == "sweepinterrupted"
 
 
 @rule("SIM601", "swallowed-exception", _PACKAGES,
@@ -127,23 +122,21 @@ def check_swallowed_exception(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Try):
-            continue
+    for node in module.nodes(ast.Try):
         for handler in node.handlers:
             if _is_pass_only(handler):
                 caught = ", ".join(_caught_names(handler)) or "everything"
                 found.append(make_violation(
-                    _rule("SIM601"), module, handler,
+                    rule_by_id("SIM601"), module, handler,
                     f"except ({caught}) with a pass-only body silently "
                     "discards the failure; handle it, re-raise, or "
                     "justify the suppression with an allow comment",
                 ))
                 continue
-            if _is_broad(handler) and not _handler_converts(handler):
+            if _is_broad(handler) and not _handler_escapes(handler, _converts):
                 caught = ", ".join(_caught_names(handler)) or "bare except"
                 found.append(make_violation(
-                    _rule("SIM601"), module, handler,
+                    rule_by_id("SIM601"), module, handler,
                     f"broad handler ({caught}) neither re-raises nor "
                     "converts to a FailedRun; a swallowed failure here "
                     "becomes a silently wrong result — let it propagate "
@@ -159,19 +152,17 @@ def check_trapped_interrupt(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Try):
-            continue
+    for node in module.nodes(ast.Try):
         for handler in node.handlers:
             trapped = [name for name in _caught_names(handler)
                        if name in _INTERRUPT_NAMES]
             # Bare excepts and BaseException handlers are SIM601's beat;
             # SIM602 is about handlers that *name* an interrupt.
-            if not trapped or _routes_shutdown(handler):
+            if not trapped or _handler_escapes(handler, _routes_shutdown):
                 continue
             caught = ", ".join(trapped)
             found.append(make_violation(
-                _rule("SIM602"), module, handler,
+                rule_by_id("SIM602"), module, handler,
                 f"handler traps {caught} without re-raising or routing "
                 "through the shutdown manager; a trapped interrupt "
                 "skips the graceful drain-and-journal path and strands "

@@ -38,13 +38,16 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.contract import _rule
 from repro.analysis.core import (
     SIM_PATH_PACKAGES,
+    RunIndex,
     SourceModule,
     Violation,
+    base_names,
     make_violation,
     rule,
+    rule_by_id,
+    run_index,
 )
 
 #: The two class attributes that constitute a snapshot declaration.
@@ -71,16 +74,6 @@ class _ClassInfo:
     init_assigns: Dict[str, int] = field(default_factory=dict)
     auto_exempt: Set[str] = field(default_factory=set)
     assigned_anywhere: Set[str] = field(default_factory=set)
-
-
-def _base_names(node: ast.ClassDef) -> Tuple[str, ...]:
-    names = []
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return tuple(names)
 
 
 def _string_literals(node: ast.AST) -> List[Tuple[str, int]]:
@@ -116,7 +109,7 @@ def _is_auto_exempt(value: ast.AST) -> bool:
 
 
 def _scan_class(node: ast.ClassDef, module: SourceModule) -> _ClassInfo:
-    info = _ClassInfo(node.name, module, node, _base_names(node))
+    info = _ClassInfo(node.name, module, node, base_names(node))
     for stmt in node.body:
         # Class-level declarations and attribute defaults.
         targets: List[ast.AST] = []
@@ -165,23 +158,10 @@ def _scan_class(node: ast.ClassDef, module: SourceModule) -> _ClassInfo:
     return info
 
 
-#: Single-slot registry cache: rules run once per (module, modules)
-#: pair, so without it the whole-tree scan would repeat per file.
-_CACHE: Tuple[int, int, Dict[str, _ClassInfo]] = (0, 0, {})
-
-
-def _registry(modules: Sequence[SourceModule]) -> Dict[str, _ClassInfo]:
-    global _CACHE
-    key = (id(modules), len(modules))
-    if _CACHE[:2] == key:
-        return _CACHE[2]
-    registry: Dict[str, _ClassInfo] = {}
-    for module in modules:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                registry[node.name] = _scan_class(node, module)
-    _CACHE = (key[0], key[1], registry)
-    return registry
+def _registry(index: RunIndex) -> Dict[str, _ClassInfo]:
+    """Class name -> scan of its (last) definition anywhere in the run."""
+    return {node.name: _scan_class(node, module)
+            for module, node in index.classes()}
 
 
 def _ancestry(info: _ClassInfo,
@@ -203,29 +183,23 @@ def _ancestry(info: _ClassInfo,
     return order
 
 
-def _in_protocol(info: _ClassInfo,
-                 registry: Dict[str, _ClassInfo]) -> bool:
-    return any(entry.declares for entry in _ancestry(info, registry))
-
-
 @rule("SIM901", "undeclared-snapshot-state", SIM_PATH_PACKAGES,
       "every self.x assigned in a snapshot-protocol class's __init__ "
       "must be declared in SNAPSHOT_FIELDS or SNAPSHOT_EXEMPT")
 def check_undeclared_snapshot_state(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    registry = _registry(modules)
+    registry = run_index(modules).fact(_registry)
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
+    for node in module.nodes(ast.ClassDef):
         info = registry.get(node.name)
         if info is None or info.module is not module:
             continue
-        if not _in_protocol(info, registry):
+        ancestry = _ancestry(info, registry)
+        if not any(entry.declares for entry in ancestry):
             continue
         declared: Set[str] = set()
-        for entry in _ancestry(info, registry):
+        for entry in ancestry:
             declared.update(entry.fields)
             declared.update(entry.exempt)
         for name, line in sorted(info.init_assigns.items(),
@@ -233,7 +207,7 @@ def check_undeclared_snapshot_state(
             if name in declared or name in info.auto_exempt:
                 continue
             found.append(make_violation(
-                _rule("SIM901"), module, line,
+                rule_by_id("SIM901"), module, line,
                 f"{node.name}.__init__ assigns self.{name} but declares "
                 "it in neither SNAPSHOT_FIELDS nor SNAPSHOT_EXEMPT; "
                 "undeclared state silently escapes every checkpoint and "
@@ -248,11 +222,9 @@ def check_undeclared_snapshot_state(
 def check_phantom_snapshot_field(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    registry = _registry(modules)
+    registry = run_index(modules).fact(_registry)
     found = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
+    for node in module.nodes(ast.ClassDef):
         info = registry.get(node.name)
         if info is None or info.module is not module or not info.declares:
             continue
@@ -263,7 +235,7 @@ def check_phantom_snapshot_field(
             if name in assigned:
                 continue
             found.append(make_violation(
-                _rule("SIM902"), module, info.decl_lines.get(name, node),
+                rule_by_id("SIM902"), module, info.decl_lines.get(name, node),
                 f"{node.name} declares {name!r} but never assigns "
                 f"self.{name} anywhere in the class or its ancestors; a "
                 "phantom field is a typo hiding real state from the "

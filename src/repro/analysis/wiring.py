@@ -17,8 +17,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.core import SourceModule, Violation, make_violation, rule
-from repro.analysis.contract import _rule
+from repro.analysis.core import (
+    RunIndex,
+    SourceModule,
+    Violation,
+    make_violation,
+    rule,
+    rule_by_id,
+    run_index,
+)
 
 _PACKAGES = ("",)  # whole tree
 
@@ -26,9 +33,18 @@ _PACKAGES = ("",)  # whole tree
 def _registrations(
     cls: ast.ClassDef, method: str
 ) -> List[Tuple[str, ast.Call, str]]:
-    """(name literal, call node, attribute target) for self.<method>("...")."""
-    out = []
+    """(name literal, call, assigned ``self.<attr>`` or "") per self.<method>("...")."""
+    calls: List[Tuple[str, ast.Call]] = []
+    assigned: Dict[int, str] = {}   # id(call) -> first self.<attr> target
     for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    assigned[id(node.value)] = target.attr
+                    break
+            continue
         if not isinstance(node, ast.Call):
             continue
         fn = node.func
@@ -38,34 +54,20 @@ def _registrations(
         if not (node.args and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)):
             continue
-        out.append((node.args[0].value, node, _assigned_attr(cls, node)))
-    return out
-
-
-def _assigned_attr(cls: ast.ClassDef, call: ast.Call) -> str:
-    """The ``self.<attr>`` a registration call is assigned to, if any."""
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and node.value is call:
-            for target in node.targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    return target.attr
-    return ""
+        calls.append((node.args[0].value, node))
+    return [(name, call, assigned.get(id(call), "")) for name, call in calls]
 
 
 def _check_duplicates(
     module: SourceModule, method: str, rule_id: str, kind: str
 ) -> List[Violation]:
     found = []
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
+    for cls in module.nodes(ast.ClassDef):
         seen: Dict[str, int] = {}
         for name, call, _ in _registrations(cls, method):
             if name in seen:
                 found.append(make_violation(
-                    _rule(rule_id), module, call,
+                    rule_by_id(rule_id), module, call,
                     f"{cls.name} registers {kind} {name!r} twice (first at "
                     f"line {seen[name]}); the second registration raises at "
                     "construction time",
@@ -91,13 +93,11 @@ def check_duplicate_port(
     return _check_duplicates(module, "add_port", "SIM402", "port")
 
 
-def _bound_attrs(modules: Sequence[SourceModule]) -> Set[str]:
+def _bound_attrs(index: RunIndex) -> Set[str]:
     """Attribute names that appear in any ``<x>.bind(<y>)`` call."""
     bound: Set[str] = set()
-    for module in modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+    for module in index:
+        for node in module.nodes(ast.Call):
             fn = node.func
             if not (isinstance(fn, ast.Attribute) and fn.attr == "bind"):
                 continue
@@ -120,18 +120,16 @@ def _bound_attrs(modules: Sequence[SourceModule]) -> Set[str]:
 def check_unbound_port(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    bound = _bound_attrs(modules)
+    bound = run_index(modules).fact(_bound_attrs)
     found = []
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
+    for cls in module.nodes(ast.ClassDef):
         for name, call, attr in _registrations(cls, "add_port"):
             if attr and attr in bound:
                 continue
             if not attr and name in bound:
                 continue
             found.append(make_violation(
-                _rule("SIM403"), module, call,
+                rule_by_id("SIM403"), module, call,
                 f"{cls.name} declares port {name!r} but nothing in the "
                 "analyzed tree binds it; traffic sent into an unbound port "
                 "dead-ends",

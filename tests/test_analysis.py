@@ -154,6 +154,71 @@ def test_full_run_parses_each_file_exactly_once():
         clear_parse_cache()
 
 
+def test_full_run_indexes_each_file_exactly_once():
+    from repro.analysis.core import clear_parse_cache, index_count, load_paths
+
+    clear_parse_cache()
+    try:
+        n_files = len(list(SRC_TREE.rglob("*.py")))
+        # Loading alone builds no index: it is built lazily by the rules.
+        load_paths([SRC_TREE])
+        assert index_count() == 0
+        analyze_paths([SRC_TREE])
+        assert index_count() == n_files
+        # Unchanged files keep their index across runs.
+        analyze_paths([SRC_TREE])
+        assert index_count() == n_files
+    finally:
+        clear_parse_cache()
+
+
+def test_fixture_directory_in_one_run_flags_each_fixture_with_its_rule():
+    """Every fixture indexed together: cross-module facts must not leak."""
+    found = {(Path(v.path).name, v.rule) for v in analyze_paths([FIXTURES])}
+    assert found == set(FIXTURE_RULES.items())
+
+
+def test_one_family_at_a_time_matches_one_full_run():
+    from repro.analysis.core import analyze_modules, load_paths
+
+    modules, errors = load_paths([SRC_TREE, FIXTURES])
+    assert errors == []
+    full = analyze_modules(modules)
+    assert full and len(set(full)) == len(full)
+    per_family = set()
+    for family in [f"SIM{i}" for i in range(1, 10)]:
+        # SIM001 (bare allow comments) is checked on every call.
+        per_family.update(analyze_modules(modules, select=[family]))
+    assert sorted(per_family, key=lambda v: (v.path, v.line, v.rule)) == full
+
+
+def test_snapshot_registry_is_rebuilt_for_every_run():
+    """Same-sized runs over different trees each get their own registry.
+
+    Refilling one list object forces what a recycled list id does by
+    chance: a run whose ``modules`` has the last run's id and length.
+    """
+    from repro.analysis.core import analyze_modules, load_paths
+
+    modules = []
+    runs = [("phantom_snapshot.py", "SIM902"),
+            ("undeclared_snapshot.py", "SIM901")] * 5
+    for fixture, expected in runs:
+        modules[:] = load_paths([FIXTURES / fixture])[0]
+        assert {v.rule for v in analyze_modules(modules)} == {expected}, fixture
+    for fixture, expected in runs:
+        found = {v.rule for v in analyze_paths([FIXTURES / fixture])}
+        assert found == {expected}, fixture
+
+
+def test_rule_called_with_a_plain_module_list():
+    from repro.analysis.core import load_paths, rule_by_id
+
+    modules, _ = load_paths([FIXTURES / "unbound_port.py"])
+    check = rule_by_id("SIM403").fn
+    assert [v.rule for v in check(modules[0], list(modules))] == ["SIM403"]
+
+
 def test_parse_cache_notices_edits(tmp_path):
     from repro.analysis.core import clear_parse_cache, parse_count
 
