@@ -177,6 +177,28 @@ def _execute_timed(
     return spec.content_hash, result, seconds, ckpt_counts
 
 
+def _round_robin(queue: Deque[_QueueItem]) -> Deque[_QueueItem]:
+    """``queue`` reordered round-robin over workloads, stably.
+
+    A spec's rank is how many specs before it build the same workload
+    (:attr:`RunSpec.workload_key`); sorting by rank puts every workload's
+    first spec ahead of any second one.  Exhibits list a benchmark's cells
+    together, so in spec order two idle workers would both miss the
+    workload store and build the same workload; in rank order no dispatch
+    wave shares a workload until each has been dispatched once, and later
+    cells find it in the worker's memo or the on-disk store.
+    """
+    seen: Dict[Tuple[str, int], int] = {}
+    ranked: List[Tuple[int, _QueueItem]] = []
+    for item in queue:
+        key = item[0].workload_key
+        rank = seen.get(key, 0)
+        seen[key] = rank + 1
+        ranked.append((rank, item))
+    ranked.sort(key=lambda pair: pair[0])
+    return deque(item for _rank, item in ranked)
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down *now*: kill workers, cancel queued work, no wait.
 
@@ -538,9 +560,11 @@ class Executor:
         spontaneous (``BrokenProcessPool``) or deliberate (the watchdog
         killing hung workers) — requeues in-flight specs and rebuilds
         the pool; repeated consecutive deaths degrade to in-process
-        execution so the batch always finishes.
+        execution so the batch always finishes.  Specs are dispatched
+        round-robin over their workloads (:func:`_round_robin`).
         """
         workers = min(self.jobs, total)
+        queue = _round_robin(queue)
         pool = ProcessPoolExecutor(max_workers=workers)
         pending: Dict["Future[_WorkerReturn]",
                       Tuple[RunSpec, int, Optional[float]]] = {}

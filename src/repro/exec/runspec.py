@@ -121,6 +121,11 @@ class RunSpec:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    @property
+    def workload_key(self) -> Tuple[str, int]:
+        """The ``(benchmark, trace length)`` workload :meth:`execute` builds."""
+        return self.benchmark, self.trace_length or self.n_instructions
+
     # -- execution ------------------------------------------------------------
 
     def execute(self, checkpoint=None) -> RunResult:
@@ -132,8 +137,8 @@ class RunSpec:
         resumed run's result is bit-identical to an uninterrupted one, so
         checkpointing must never perturb ``content_hash``.
         """
-        total = self.trace_length or self.n_instructions
-        trace, image = build_workload(self.benchmark, total)
+        benchmark, total = self.workload_key
+        trace, image = build_workload(benchmark, total)
         if self.selection is None:
             selected = trace if total == self.n_instructions else list(
                 trace[:self.n_instructions]

@@ -79,7 +79,12 @@ class MultiPortResource:
         return grant
 
     def _prune(self, current: int) -> None:
-        """Drop ledger entries far in the past (they can never matter).
+        """Drop ledger entries more than 2048 cycles before ``current``.
+
+        Pruning never raises ``_floor``: it stays 0, so a request that
+        arrives older than the prune horizon is granted as if its pruned
+        cycle were free, even if that cycle had been fully booked.  The
+        model assumes no request lags that far behind.
 
         Mutates the ledger dict *in place*: the trace-speculation fast path
         and the core's inlined acquire bind ``_ledger`` once per run, so the
@@ -93,7 +98,6 @@ class MultiPortResource:
         stale = [cycle for cycle in ledger if cycle < horizon]
         for cycle in stale:
             del ledger[cycle]
-        self._floor = max(self._floor, 0)
 
     def earliest_grant(self, time: int) -> int:
         """Cycle at which an acquire at ``time`` would be granted (no reserve)."""

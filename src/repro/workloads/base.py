@@ -13,29 +13,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instr import Op
-from repro.workloads.image import MemoryImage
+from repro.workloads.image import WORD_BYTES, MemoryImage
 from repro.workloads.patterns import ENGINE_KINDS, FREQUENT_VALUES, PatternEngine
 
 #: Spacing between engine data regions (keeps them in distinct DRAM areas).
 _REGION_SPACING = 0x0400_0000
 _REGION_BASE = 0x1000_0000
 _CODE_BASE = 0x0040_0000
-
-
-def _code_offset(idx: int, footprint: int) -> int:
-    """PC offset within the code region: basic blocks, not a byte walk.
-
-    Eight sequential 4-byte instructions per basic block, with blocks laid
-    out 132 bytes apart — skipping both 32-byte instruction-cache lines and
-    64-byte L2 lines — so the fetch stream is sequential *within* a block,
-    as real code is, but a data-side next-line prefetcher gets no free
-    instruction-stream coverage from the unified L2.
-    """
-    block = idx // 8
-    return (block * 132) % footprint + (idx % 8) * 4
 
 
 @dataclass(frozen=True)
@@ -104,6 +92,8 @@ class SyntheticWorkload:
         """Generate ``n_instructions`` records; return ``(trace, image)``."""
         spec = self.spec
         rng = random.Random(spec.seed)
+        draw, choice, randrange, randint = (
+            rng.random, rng.choice, rng.randrange, rng.randint)
         if image is None:
             image = MemoryImage()
 
@@ -117,11 +107,17 @@ class SyntheticWorkload:
             engines.append(engine)
             load_pcs.append(_CODE_BASE + i * 0x100)
             store_pcs.append(_CODE_BASE + i * 0x100 + 0x40)
+        nexts = [engine.next for engine in engines]
+        chained = [engine.chained for engine in engines]
 
+        # Per phase, the engine pick's total weight and running sums.
         phase_bounds, phase_weights = self._phase_plan(n_instructions)
+        pickers = [(sum(weights), list(accumulate(weights, initial=0.0))[1:])
+                   for weights in phase_weights]
 
         trace: List[Tuple[int, int, int, int, int]] = []
         append = trace.append
+        words = image.words()
         load_op = int(Op.LOAD)
         store_op = int(Op.STORE)
         branch_op = int(Op.BRANCH)
@@ -132,34 +128,55 @@ class SyntheticWorkload:
 
         mem_cut = spec.mem_fraction
         branch_cut = mem_cut + spec.branch_fraction
+        store_fraction = spec.store_fraction
+        value_locality = spec.value_locality
+        mispredict_rate = spec.mispredict_rate
+        fp_fraction = spec.fp_fraction
+        dep_density = spec.dep_density
+        # Non-memory PCs walk the code region in basic blocks, not bytes:
+        # eight sequential 4-byte instructions per block, with blocks laid
+        # out 132 bytes apart — skipping both 32-byte instruction-cache
+        # lines and 64-byte L2 lines — so the fetch stream is sequential
+        # *within* a block, as real code is, but a data-side next-line
+        # prefetcher gets no free instruction-stream coverage from the
+        # unified L2.  Each phase runs in its own 4 MB code window.
         code_footprint = max(256, spec.code_footprint)
+        code_pc = _CODE_BASE + 0x10000
         last_load_idx: Dict[int, int] = {}  # engine index -> trace index
         latest_load = -1
-        phase = 0
-        code_pc = _CODE_BASE + 0x10000
+        n_stores = 0
+        last_phase = len(phase_bounds) - 1
+        phase = bound = 0
 
         for idx in range(n_instructions):
-            while phase + 1 < len(phase_bounds) and idx >= phase_bounds[phase]:
-                phase += 1
-            weights = phase_weights[phase]
-            r = rng.random()
+            if idx >= bound:  # phase boundary: re-resolve the phase
+                while phase < last_phase and idx >= phase_bounds[phase]:
+                    phase += 1
+                bound = phase_bounds[phase]
+                total, running = pickers[phase]
+                phase_pc = code_pc + (phase << 22)
+            r = draw()
             if r < mem_cut:
-                engine_idx = self._pick_engine(rng, weights)
-                engine = engines[engine_idx]
-                addr = engine.next()
-                is_store = (not engine.chained) and rng.random() < spec.store_fraction
-                if is_store:
-                    if rng.random() < spec.value_locality:
-                        value = rng.choice(FREQUENT_VALUES)
+                engine_idx = 0
+                if total > 0:
+                    pick = draw() * total
+                    for engine_idx, acc in enumerate(running):
+                        if pick < acc:
+                            break
+                addr = nexts[engine_idx]()
+                if not chained[engine_idx] and draw() < store_fraction:
+                    if draw() < value_locality:
+                        value = choice(FREQUENT_VALUES)
                     else:
-                        value = rng.randrange(1 << 32) | (1 << 33)
+                        value = randrange(1 << 32) | (1 << 33)
                     # Functional execution at generation time: the image
                     # matches the trace before simulation ever runs.
-                    image.write(addr, value)
+                    words[addr & -WORD_BYTES] = value
+                    n_stores += 1
                     append((store_op, store_pcs[engine_idx], addr, 0, value))
                 else:
                     dep = 0
-                    if engine.chained:
+                    if chained[engine_idx]:
                         prev = last_load_idx.get(engine_idx)
                         if prev is not None:
                             distance = idx - prev
@@ -169,24 +186,25 @@ class SyntheticWorkload:
                     last_load_idx[engine_idx] = idx
                     latest_load = idx
             elif r < branch_cut:
-                mispredicted = rng.random() < spec.mispredict_rate
-                pc = code_pc + (phase << 22) + _code_offset(idx, code_footprint)
+                mispredicted = draw() < mispredict_rate
+                pc = phase_pc + (idx >> 3) * 132 % code_footprint + (idx & 7) * 4
                 append((branch_op, pc, 0, 0, 1 if mispredicted else 0))
             else:
-                if rng.random() < spec.fp_fraction:
-                    op = fp_mul if rng.random() < 0.2 else fp_alu
+                if draw() < fp_fraction:
+                    op = fp_mul if draw() < 0.2 else fp_alu
                 else:
-                    op = int_mul if rng.random() < 0.1 else int_alu
+                    op = int_mul if draw() < 0.1 else int_alu
                 dep = 0
-                if latest_load >= 0 and rng.random() < spec.dep_density:
+                if latest_load >= 0 and draw() < dep_density:
                     distance = idx - latest_load
                     if distance < 500:
                         dep = distance
                 elif idx:
-                    dep = rng.randint(1, 4)
-                pc = code_pc + (phase << 22) + _code_offset(idx, code_footprint)
+                    dep = randint(1, 4)
+                pc = phase_pc + (idx >> 3) * 132 % code_footprint + (idx & 7) * 4
                 append((op, pc, 0, dep, 0))
 
+        image.writes += n_stores
         return trace, image
 
     # -- helpers -------------------------------------------------------------
@@ -208,16 +226,3 @@ class SyntheticWorkload:
             weights.append([b * m for b, m in zip(base, multipliers)])
         bounds[-1] = n_instructions
         return bounds, weights
-
-    @staticmethod
-    def _pick_engine(rng: random.Random, weights: Sequence[float]) -> int:
-        total = sum(weights)
-        if total <= 0:
-            return 0
-        pick = rng.random() * total
-        acc = 0.0
-        for i, weight in enumerate(weights):
-            acc += weight
-            if pick < acc:
-                return i
-        return len(weights) - 1

@@ -17,7 +17,7 @@ region and word-aligned.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.kernel.state import restore_fields, snapshot_fields
 
@@ -93,6 +93,24 @@ class MemoryImage:
     def write(self, addr: int, value: int) -> None:
         self._words[self._word_addr(addr)] = value
         self.writes += 1
+
+    def write_words(self, base: int, values: Sequence[int]) -> None:
+        """``write`` each value to consecutive words from ``base``, batched."""
+        base = self._word_addr(base)
+        self._words.update(
+            zip(range(base, base + len(values) * WORD_BYTES, WORD_BYTES), values)
+        )
+        self.writes += len(values)
+
+    def words(self) -> Dict[int, int]:
+        """The live word dict, for bulk writers.
+
+        A caller storing into it keys by word address and adds its store
+        count to ``writes``, exactly as :meth:`write` would have.
+        """
+        if self._pending is not None:
+            self._materialize()
+        return self._words
 
     def read(self, addr: int) -> int:
         if self._pending is not None:

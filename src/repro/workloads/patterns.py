@@ -59,13 +59,13 @@ class PatternEngine:
     ) -> None:
         """Fill (a capped prefix of) the region with value-local data."""
         rng = self.rng
+        draw, choice, randrange = rng.random, rng.choice, rng.randrange
         n_words = min(n_bytes // WORD_BYTES, _INIT_WORDS_CAP)
-        for i in range(n_words):
-            if rng.random() < value_locality:
-                value = rng.choice(FREQUENT_VALUES)
-            else:
-                value = rng.randrange(1 << 32) | (1 << 33)
-            image.write(self.base + i * WORD_BYTES, value)
+        image.write_words(self.base, [
+            choice(FREQUENT_VALUES) if draw() < value_locality
+            else randrange(1 << 32) | (1 << 33)
+            for _ in range(n_words)
+        ])
 
 
 class StrideEngine(PatternEngine):
@@ -125,10 +125,10 @@ class HotZipfEngine(PatternEngine):
 
     def next(self) -> int:
         lo, hi = 0, self._n_words
-        rng = self.rng
+        draw, skew = self.rng.random, self.skew
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if rng.random() < self.skew:
+            if draw() < skew:
                 hi = mid
             else:
                 lo = mid
@@ -292,32 +292,41 @@ class PointerChaseEngine(PatternEngine):
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         self._image = image
+        rng = self.rng
+        draw, choice, randrange = rng.random, rng.choice, rng.randrange
+        payload_pointers = self.payload_pointers
         order = list(range(self.n_nodes))
-        self.rng.shuffle(order)
+        rng.shuffle(order)
         node_addrs = [self.base + slot * self.node_size for slot in order]
         per_chain = max(1, self.n_nodes // self.n_chains)
         next_offsets = [
             self.next_offset + k * WORD_BYTES for k in range(self.n_next)
         ]
+        first, shortcuts = next_offsets[0], next_offsets[1:]
+        payload = [off for off in range(0, self.node_size, WORD_BYTES)
+                   if off not in next_offsets]
+        # Written straight into the word dict, in ``image.write`` order;
+        # offsets are word multiples, so aligning the node aligns them all.
+        words = image.words()
         self._members = []
         for chain in range(self.n_chains):
             members = node_addrs[chain * per_chain:(chain + 1) * per_chain]
             if not members:
                 continue
             self._members.append(members)
-            for i, addr in enumerate(members):
-                # First successor: the ring; extras: shortcuts in-chain.
-                image.write(addr + next_offsets[0], members[(i + 1) % len(members)])
-                for offset in next_offsets[1:]:
-                    image.write(addr + offset, self.rng.choice(members))
+            # First successor: the ring; extras: shortcuts in-chain.
+            for addr, successor in zip(members, members[1:] + members[:1]):
+                addr &= -WORD_BYTES
+                words[addr + first] = successor
+                for off in shortcuts:
+                    words[addr + off] = choice(members)
                 # Payload words around the pointers.
-                for off in range(0, self.node_size, WORD_BYTES):
-                    if off in next_offsets:
-                        continue
-                    if self.payload_pointers and self.rng.random() < self.payload_pointers:
-                        image.write(addr + off, self.rng.choice(node_addrs))
+                for off in payload:
+                    if payload_pointers and draw() < payload_pointers:
+                        words[addr + off] = choice(node_addrs)
                     else:
-                        image.write(addr + off, self.rng.randrange(1 << 20))
+                        words[addr + off] = randrange(1 << 20)
+            image.writes += len(members) * (1 + len(shortcuts) + len(payload))
         image.note_heap(self.base, self.base + self.n_nodes * self.node_size)
         self._cursors = [
             node_addrs[min(chain * per_chain, self.n_nodes - 1)]

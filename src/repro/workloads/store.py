@@ -1,9 +1,11 @@
 """On-disk cache for generated workloads.
 
-Building a synthetic trace is deterministic but not free: the seeded RNG
-draws and image writes for an 8k-instruction benchmark cost more wall time
-than simulating it on the fast path.  Every fresh process (each CLI run,
-each ``repro.obs record``, each pool worker) used to pay that cost again.
+Building a synthetic trace is deterministic but not free: region set-up
+draws up to 32768 image words per engine whatever the trace length, so at
+8k instructions the 26 builds take about 1.5x the CPU time of simulating
+each benchmark once with Base on the fast path (2-vCPU Xeon VM, Python
+3.11.7).  Every fresh process (each CLI run, each ``repro.obs record``,
+each pool worker) used to pay that cost again.
 This store memoises the finished ``(trace, image)`` pair on disk, keyed by
 benchmark, length and a digest of the generator sources, so a build is paid
 once per machine instead of once per process.

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+from collections import deque
+from concurrent.futures import Future
 
 import pytest
 
 from repro.core.config import baseline_config
 from repro.exec import Executor, ResultStore, RunSpec
+from repro.exec import executor as executor_module
 from repro.exec.store import STORE_VERSION
 
 N = 2000
@@ -170,3 +173,75 @@ def test_jobs_default_is_cpu_count():
     import os
     assert Executor().jobs == max(1, os.cpu_count() or 1)
     assert Executor(jobs=0).jobs == 1
+
+
+def _exhibit_order_specs():
+    """Cells benchmark by benchmark, the order exhibits list them in."""
+    specs = [
+        RunSpec(benchmark, mechanism, n_instructions=N)
+        for benchmark in ("swim", "gzip", "mcf")
+        for mechanism in ("Base", "TP", "GHB")
+    ]
+    # Same benchmark, longer trace: a workload of its own.
+    specs.append(RunSpec("swim", "TP", n_instructions=N, trace_length=2 * N))
+    return specs
+
+
+def test_workload_key_is_what_execute_builds():
+    assert RunSpec("swim", n_instructions=N).workload_key == ("swim", N)
+    spec = RunSpec("swim", n_instructions=N, trace_length=3 * N)
+    assert spec.workload_key == ("swim", 3 * N)
+
+
+def test_round_robin_first_wave_never_shares_a_workload():
+    specs = _exhibit_order_specs()
+    dispatched = [spec for spec, _attempt in
+                  executor_module._round_robin(deque((s, 1) for s in specs))]
+    assert sorted(map(id, dispatched)) == sorted(map(id, specs))
+    keys = [spec.workload_key for spec in dispatched]
+    groups = len(set(keys))
+    assert groups == 4
+    for jobs in (2, 3, 4, 8):
+        wave = keys[:min(jobs, groups)]
+        assert len(set(wave)) == len(wave)
+    for key in set(keys):  # each workload's cells keep their order
+        assert [s for s in dispatched if s.workload_key == key] == \
+            [s for s in specs if s.workload_key == key]
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each submission at once and
+    records the dispatch order."""
+
+    submitted = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def submit(self, fn, *args):
+        _InlinePool.submitted.append(args[0])
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_dispatches_round_robin(monkeypatch):
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    specs = _exhibit_order_specs()
+    results = Executor(jobs=2).run(specs)
+    assert [spec.workload_key for spec in _InlinePool.submitted[:4]] == [
+        ("swim", N), ("gzip", N), ("mcf", N), ("swim", 2 * N)]
+    assert [(r.benchmark, r.mechanism) for r in results] == \
+        [(s.benchmark, s.mechanism) for s in specs]
+
+
+def test_parallel_results_align_with_specs_despite_dispatch_order():
+    specs = _exhibit_order_specs()
+    parallel = Executor(jobs=2).run(specs)
+    serial = Executor(jobs=1).run(specs)
+    assert json.dumps(_as_dicts(parallel), sort_keys=True) == \
+        json.dumps(_as_dicts(serial), sort_keys=True)

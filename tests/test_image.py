@@ -98,3 +98,26 @@ def test_last_write_wins(writes):
         last[addr & ~7] = value
     for word_addr, value in last.items():
         assert image.read(word_addr) == value
+
+
+def test_write_words_equals_one_write_per_word():
+    batched, single = MemoryImage(), MemoryImage()
+    for image in (batched, single):
+        image.write(0x2010, 1)  # an existing word keeps its dict position
+    values = [5, 6, 7, 8]
+    batched.write_words(0x2003, values)  # unaligned base aligns down
+    for i, value in enumerate(values):
+        single.write(0x2003 + i * WORD_BYTES, value)
+    assert list(batched._words.items()) == list(single._words.items())
+    assert batched.writes == single.writes == 5
+
+
+def test_words_thaws_a_pending_base_under_the_overlay():
+    image = MemoryImage()
+    image._pending = ([0x100, 0x108], [1, 2])
+    image.write(0x108, 9)
+    words = image.words()
+    assert image._pending is None
+    assert list(words.items()) == [(0x100, 1), (0x108, 9)]
+    words[0x110] = 3
+    assert image.read(0x110) == 3

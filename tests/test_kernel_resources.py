@@ -29,6 +29,18 @@ class TestMultiPortResource:
         grants = [ports.acquire(0) for _ in range(4)]
         assert grants == [0, 1, 2, 3]
 
+    def test_prune_keeps_floor_and_forgets_old_bookings(self):
+        ports = MultiPortResource(1)
+        n = MultiPortResource._PRUNE_EVERY + 1
+        assert [ports.acquire(t) for t in range(n)] == list(range(n))
+        # The last grant pruned every cycle more than 2048 before it.
+        assert len(ports._ledger) == 2049
+        assert ports._floor == 0
+        # A booked cycle the prune dropped is granted as if free...
+        assert ports.acquire(100) == 100
+        # ...while a booked cycle inside the horizon still spills.
+        assert ports.acquire(n - 2) == n
+
     def test_earliest_grant_does_not_reserve(self):
         ports = MultiPortResource(1)
         ports.acquire(5)
